@@ -10,7 +10,6 @@
 //! | [`lfca`]    | LFCA tree                   | lock-free CA tree with immutable containers replaced by CAS |
 //! | [`kary`]    | k-ary search tree           | immutable leaves replaced by CAS; validate-and-restart range scans |
 //! | [`snaptree`]| SnapTree                    | lock-based partitioned persistent tree; O(1)-per-shard clone snapshots that stall writers |
-//! | [`kiwi`]    | KiWi                        | chunked index, atomic-counter versioning, 4 B-key oriented |
 //!
 //! Per-module docs list the deliberate simplifications relative to the
 //! original systems; DESIGN.md §2 explains why each preserves the
@@ -21,7 +20,6 @@ pub mod catree;
 pub mod cslm;
 pub mod imm;
 pub mod kary;
-pub mod kiwi;
 pub mod lfca;
 pub mod pavl;
 pub mod seqskip;
@@ -30,7 +28,6 @@ pub mod snaptree;
 pub use catree::{CaTree, Container};
 pub use cslm::Cslm;
 pub use kary::KaryTree;
-pub use kiwi::Kiwi;
 pub use lfca::LfcaTree;
 pub use snaptree::SnapTree;
 

@@ -12,15 +12,11 @@
 //! Java CSLM "does not support either consistent range scans nor atomic
 //! batch updates".
 //!
-//! Beyond the core surface, optional *capability traits* let coordinators
-//! (such as `jiffy-shard`) drive richer protocols when the index supports
-//! them: [`SnapshotIndex`] (pinned read views), [`TwoPhaseBatch`]
-//! (cross-index atomic batches under one shared pending version) and
-//! [`BulkLoad`] (efficient pre-loading, the workhorse of snapshot-assisted
-//! shard migration). Every trait here is also implemented for `Arc<T>`
-//! (shared handles), so coordinators can hold the *same* index instance in
-//! several routing generations at once — the foundation of online
-//! resharding.
+//! Beyond the core surface, the [`BulkLoad`] capability trait covers
+//! efficient pre-loading (the workhorse of snapshot-assisted shard
+//! migration and of recovery). Both traits are also implemented for
+//! `Arc<T>` (shared handles), so a server, a durability layer and a
+//! benchmark can hold the *same* index instance at once.
 
 #![warn(missing_docs)]
 
@@ -177,146 +173,6 @@ impl RevisionStats {
     }
 }
 
-/// A pinned, read-only view of an index at one version.
-///
-/// While a view is held, the index retains whatever history the view
-/// might read; dropping it releases that history. Obtained through
-/// [`SnapshotIndex::pin_view`].
-pub trait ReadView<K, V> {
-    /// The version this view reads at. Version numbers are only
-    /// comparable *across* indices when the indices share one clock
-    /// (see `jiffy_clock`'s `Arc` clock sharing).
-    fn version(&self) -> i64;
-
-    /// The value of `key` at this view's version.
-    fn get(&self, key: &K) -> Option<V>;
-
-    /// Visit up to `n` entries with key `>= lo`, ascending, as of this
-    /// view's version.
-    fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V));
-
-    /// Advance the view's read version to `version` (a no-op if the
-    /// view is already at or past it — views only move forward, so the
-    /// index's history retention stays sound). Coordinators use this to
-    /// align several views, pinned at slightly different instants, on
-    /// one common cut version drawn from a shared clock.
-    fn advance_to(&mut self, version: i64);
-}
-
-/// Capability trait for indices that can hand out pinned snapshot views
-/// (`JiffyMap` does; most baselines cannot). The sharded coordinator in
-/// `jiffy-shard` consumes this to build a consistent cross-shard cut:
-/// pin one view per shard, then [`ReadView::advance_to`] all of them to
-/// a single version read from the clock the shards share.
-pub trait SnapshotIndex<K: Ord + Clone, V: Clone>: OrderedIndex<K, V> {
-    /// Pin a consistent read view of the current state. O(1) and
-    /// non-blocking for `JiffyMap`.
-    fn pin_view(&self) -> Box<dyn ReadView<K, V> + '_>;
-}
-
-/// Lifecycle of one cross-index two-phase batch (see [`TwoPhaseBatch`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPhase {
-    /// Staged or installing; the shared version is still optimistic
-    /// (negative) and no reader selects the batch's revisions.
-    Pending,
-    /// The shared version was finalized: every sub-batch on every
-    /// participating index became visible at that single instant.
-    Committed,
-    /// Abandoned before any sub-batch was installed. Terminal; a ticket
-    /// must never be aborted once any part of it is visible to readers.
-    Aborted,
-}
-
-/// A shared pending-version ticket: one per cross-index batch, shared by
-/// every participating sub-batch so they all commit at one version.
-///
-/// State machine: `Pending -> Committed` (via
-/// [`TwoPhaseBatch::commit_pending`], the batch's linearization point) or
-/// `Pending -> Aborted` (via [`TwoPhaseBatch::abort_pending`], legal only
-/// while nothing is installed). Both transitions are one-way.
-pub trait PendingVersion: Send + Sync {
-    /// The version number: negative (optimistic lower bound) while
-    /// pending, the final positive version after commit.
-    fn version(&self) -> i64;
-
-    /// Where the ticket is in its `Pending -> Committed/Aborted` machine.
-    fn phase(&self) -> BatchPhase;
-
-    /// Downcast support for implementations.
-    fn as_any(&self) -> &dyn std::any::Any;
-}
-
-/// An opaque handle to one staged (phase-1) sub-batch of a cross-index
-/// two-phase batch. Obtained from [`TwoPhaseBatch::prepare_batch`];
-/// installed — possibly by helpers, possibly many times — through
-/// [`TwoPhaseBatch::install_prepared`].
-pub trait PreparedBatch: Send + Sync {
-    /// Whether every operation of this sub-batch has been installed on
-    /// its index (all still invisible until the shared ticket commits).
-    fn is_installed(&self) -> bool;
-
-    /// Downcast support for implementations.
-    fn as_any(&self) -> &dyn std::any::Any;
-}
-
-/// The cross-index help-to-completion routine a coordinator attaches to
-/// each staged sub-batch: it must install *every* sub-batch of the batch
-/// on its index and then commit the shared ticket. Any reader or writer
-/// that runs into one of the batch's pending entries invokes it instead
-/// of blocking, so a stalled initiator can never wedge the map (the
-/// paper's §3.3.3 helping idiom lifted across indices).
-pub type BatchResolver = std::sync::Arc<dyn Fn() + Send + Sync>;
-
-/// Capability trait for indices whose batch machinery can participate in
-/// a *cross-index* two-phase batch: several indices stage sub-batches
-/// under one shared [`PendingVersion`] and all of them become visible at
-/// the single commit CAS. `JiffyMap` implements it via the paper's
-/// pending-version protocol (§3.3.2–§3.3.3); `jiffy-shard` requires it
-/// to offer atomic cross-shard batches without serializing writers.
-///
-/// Protocol (driven by a coordinator such as `ShardedIndex`):
-///
-/// 1. draw one ticket with [`pending_version`](Self::pending_version)
-///    (all participating indices must share one version clock);
-/// 2. stage every sub-batch with
-///    [`prepare_batch`](Self::prepare_batch) — nothing visible yet;
-/// 3. install each with [`install_prepared`](Self::install_prepared)
-///    (idempotent: initiator and helpers may race freely);
-/// 4. [`commit_pending`](Self::commit_pending) — the linearization point.
-///
-/// The resolver passed at stage time must perform steps 3–4 for the
-/// whole batch, so any thread that encounters a pending entry can finish
-/// the job.
-pub trait TwoPhaseBatch<K: Ord + Clone, V: Clone>: OrderedIndex<K, V> {
-    /// Draw a fresh pending ticket from this index's version clock.
-    fn pending_version(&self) -> std::sync::Arc<dyn PendingVersion>;
-
-    /// Phase 1 (stage): bind `batch` to the shared `pending` ticket.
-    /// No operation becomes reachable until
-    /// [`install_prepared`](Self::install_prepared).
-    fn prepare_batch(
-        &self,
-        batch: Batch<K, V>,
-        pending: &std::sync::Arc<dyn PendingVersion>,
-        resolver: BatchResolver,
-    ) -> std::sync::Arc<dyn PreparedBatch>;
-
-    /// Phase 1 (install): install — or help install — the staged
-    /// sub-batch's revisions on this index. Idempotent; returns once the
-    /// sub-batch is fully installed (still invisible to readers).
-    fn install_prepared(&self, prepared: &dyn PreparedBatch);
-
-    /// Phase 2: publish the shared final version; every sub-batch bound
-    /// to `pending` becomes visible atomically. Idempotent; returns the
-    /// final version.
-    fn commit_pending(&self, pending: &dyn PendingVersion) -> i64;
-
-    /// Abandon a ticket *no part of which was ever installed*. Returns
-    /// `false` (and does nothing) if the ticket already committed.
-    fn abort_pending(&self, pending: &dyn PendingVersion) -> bool;
-}
-
 /// Capability trait for indices that can ingest a large entry set more
 /// cheaply than one `put` per key. The contract is deliberately loose —
 /// entries may be applied in internal chunks and interleaved with
@@ -334,11 +190,9 @@ pub trait BulkLoad<K: Ord + Clone, V: Clone>: OrderedIndex<K, V> {
 
 // --- Shared-handle (Arc) forwarding impls -------------------------------
 //
-// A coordinator that reshapes its routing online must hold one index
-// instance in two routing generations at the same time (the shards that a
-// migration does not touch carry over by handle, not by copy). These
-// blanket impls make `Arc<T>` a first-class index so `jiffy-shard` can
-// build layouts out of `Arc<JiffyMap>` shards.
+// These blanket impls make `Arc<T>` a first-class index, so the layers
+// above a map (`jiffy-dur`, `jiffy-server`, the benchmark) can share one
+// instance by handle.
 
 impl<K: Ord + Clone, V: Clone, T: OrderedIndex<K, V> + ?Sized> OrderedIndex<K, V>
     for std::sync::Arc<T>
@@ -377,39 +231,6 @@ impl<K: Ord + Clone, V: Clone, T: OrderedIndex<K, V> + ?Sized> OrderedIndex<K, V
 
     fn revision_stats(&self) -> Option<RevisionStats> {
         (**self).revision_stats()
-    }
-}
-
-impl<K: Ord + Clone, V: Clone, T: SnapshotIndex<K, V>> SnapshotIndex<K, V> for std::sync::Arc<T> {
-    fn pin_view(&self) -> Box<dyn ReadView<K, V> + '_> {
-        (**self).pin_view()
-    }
-}
-
-impl<K: Ord + Clone, V: Clone, T: TwoPhaseBatch<K, V>> TwoPhaseBatch<K, V> for std::sync::Arc<T> {
-    fn pending_version(&self) -> std::sync::Arc<dyn PendingVersion> {
-        (**self).pending_version()
-    }
-
-    fn prepare_batch(
-        &self,
-        batch: Batch<K, V>,
-        pending: &std::sync::Arc<dyn PendingVersion>,
-        resolver: BatchResolver,
-    ) -> std::sync::Arc<dyn PreparedBatch> {
-        (**self).prepare_batch(batch, pending, resolver)
-    }
-
-    fn install_prepared(&self, prepared: &dyn PreparedBatch) {
-        (**self).install_prepared(prepared)
-    }
-
-    fn commit_pending(&self, pending: &dyn PendingVersion) -> i64 {
-        (**self).commit_pending(pending)
-    }
-
-    fn abort_pending(&self, pending: &dyn PendingVersion) -> bool {
-        (**self).abort_pending(pending)
     }
 }
 

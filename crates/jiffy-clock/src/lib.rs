@@ -217,147 +217,6 @@ impl VersionClock for AtomicClock {
     }
 }
 
-/// A global epoch for *cross-index* batch updates — the serialized
-/// **fallback** coordination point.
-///
-/// One Jiffy instance makes a batch atomic internally; a batch that
-/// spans several instances (the shards of `jiffy-shard`) needs an outer
-/// coordination point. Snapshot-capable shards that also implement
-/// `index_api::TwoPhaseBatch` no longer use this epoch at all: their
-/// cross-shard batches share one pending version and commit
-/// concurrently (Jiffy's §3.3.2–§3.3.3 machinery, see `jiffy-shard`).
-/// The epoch remains for shard types without pending-version support,
-/// where mutual exclusion is the only way to keep multi-shard writers
-/// ordered. It packs two 32-bit counters into one atomic word — batches
-/// *started* (high half) and batches *completed* (low half):
-///
-/// * a cross-index batch holds the epoch exclusively between
-///   [`begin`](CrossBatchEpoch::begin) and guard drop (concurrent
-///   cross-index batches serialize, so overlapping multi-shard writes
-///   are totally ordered and per-key last-writer-wins cannot diverge
-///   between shards);
-/// * a reader observes a *quiescent* stamp (started == completed, no
-///   batch in flight) before pinning its per-shard views and re-checks
-///   the stamp afterwards — an unchanged stamp proves no cross-index
-///   batch overlapped the pinning window (otherwise the interval is
-///   torn and the reader retries).
-///
-/// The counters wrap at 2^32 independently (all arithmetic is masked
-/// per half, so a completed-half increment can never carry into the
-/// started half); only equality of the two halves and equality of two
-/// short-window stamps are ever compared, so wrapping is harmless.
-#[derive(Debug, Default)]
-pub struct CrossBatchEpoch {
-    /// started count << 32 | completed count.
-    state: AtomicU64,
-}
-
-/// RAII witness of an in-flight cross-index batch; completes the batch
-/// on drop (panic-safe: a crashed batch never wedges readers).
-#[must_use = "the batch is only marked complete when the guard drops"]
-pub struct CrossBatchGuard<'a> {
-    epoch: &'a CrossBatchEpoch,
-}
-
-impl CrossBatchEpoch {
-    const COMPLETED_MASK: u64 = u32::MAX as u64;
-
-    pub fn new() -> Self {
-        CrossBatchEpoch { state: AtomicU64::new(0) }
-    }
-
-    /// Begin a cross-index batch. Blocks (spinning, then yielding) until
-    /// no other cross-index batch is in flight.
-    pub fn begin(&self) -> CrossBatchGuard<'_> {
-        let mut spins = 0u32;
-        loop {
-            let s = self.state.load(Ordering::SeqCst);
-            let next = (((s >> 32).wrapping_add(1) & Self::COMPLETED_MASK) << 32)
-                | (s & Self::COMPLETED_MASK);
-            if s >> 32 == s & Self::COMPLETED_MASK
-                && self.state.compare_exchange(s, next, Ordering::SeqCst, Ordering::SeqCst).is_ok()
-            {
-                if spins > 0 {
-                    // Only a *contended* acquisition is trace-worthy:
-                    // another cross-index batch held the epoch and this
-                    // thread had to wait it out. The epoch has no version
-                    // clock of its own, so borrow the recorder's
-                    // high-water stamp to place the event in the trace.
-                    jiffy_obs::trace_event!(hint: GateQuiesce, (s >> 32).wrapping_add(1), spins);
-                }
-                return CrossBatchGuard { epoch: self };
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// Whether no cross-index batch is currently in flight.
-    #[inline]
-    pub fn is_quiescent(&self) -> bool {
-        let s = self.state.load(Ordering::SeqCst);
-        s >> 32 == s & Self::COMPLETED_MASK
-    }
-
-    /// The started-count stamp (advances once per cross-index batch).
-    #[inline]
-    pub fn stamp(&self) -> u64 {
-        self.state.load(Ordering::SeqCst) >> 32
-    }
-
-    /// Wait until no cross-index batch is in flight; returns the stamp
-    /// observed at that moment (pass it back to a later
-    /// [`stamp`](CrossBatchEpoch::stamp) comparison to detect a torn
-    /// interval).
-    pub fn wait_quiescent(&self) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let s = self.state.load(Ordering::SeqCst);
-            if s >> 32 == s & Self::COMPLETED_MASK {
-                if spins > 0 {
-                    // See `begin`: trace only waits that actually spun.
-                    jiffy_obs::trace_event!(hint: GateQuiesce, s >> 32, spins);
-                }
-                return s >> 32;
-            }
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-impl Drop for CrossBatchGuard<'_> {
-    fn drop(&mut self) {
-        // Masked increment of the completed half only — a plain
-        // fetch_add(1) would carry into the started half when completed
-        // wraps at 2^32, wedging the epoch forever. The CAS loop is
-        // uncontended by construction: while a batch is in flight no
-        // `begin` can succeed, so the holder is the only mutator.
-        loop {
-            let s = self.epoch.state.load(Ordering::SeqCst);
-            let next = (s & !CrossBatchEpoch::COMPLETED_MASK)
-                | ((s & CrossBatchEpoch::COMPLETED_MASK).wrapping_add(1)
-                    & CrossBatchEpoch::COMPLETED_MASK);
-            if self
-                .epoch
-                .state
-                .compare_exchange(s, next, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-}
-
 /// The default clock for the current target: TSC on x86_64, monotonic
 /// elsewhere (or everywhere, with the `portable-clock` feature).
 #[cfg(all(target_arch = "x86_64", not(feature = "portable-clock")))]
@@ -480,77 +339,6 @@ mod tests {
         let dynamic: Arc<dyn VersionClock> = Arc::new(AtomicClock::new());
         let x = dynamic.now();
         assert!(dynamic.now() > x);
-    }
-
-    #[test]
-    fn epoch_begin_finish_quiescence() {
-        let e = CrossBatchEpoch::new();
-        assert!(e.is_quiescent());
-        assert_eq!(e.stamp(), 0);
-        let g = e.begin();
-        assert!(!e.is_quiescent());
-        assert_eq!(e.stamp(), 1);
-        drop(g);
-        assert!(e.is_quiescent());
-        assert_eq!(e.wait_quiescent(), 1);
-    }
-
-    #[test]
-    fn epoch_guard_completes_on_panic() {
-        let e = CrossBatchEpoch::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = e.begin();
-            panic!("batch application failed");
-        }));
-        assert!(result.is_err());
-        assert!(e.is_quiescent(), "a panicked batch must not wedge readers");
-    }
-
-    #[test]
-    fn epoch_survives_counter_wrap() {
-        // Start both halves one step before the 2^32 boundary; the next
-        // begin/finish must wrap each half independently (an unmasked
-        // completed increment would carry into the started half and
-        // wedge the epoch in a never-quiescent state).
-        let e =
-            CrossBatchEpoch { state: AtomicU64::new((u32::MAX as u64) << 32 | u32::MAX as u64) };
-        assert!(e.is_quiescent());
-        let g = e.begin(); // started wraps to 0
-        assert!(!e.is_quiescent());
-        assert_eq!(e.stamp(), 0);
-        drop(g); // completed wraps to 0 — no carry into started
-        assert!(e.is_quiescent(), "wrap carried between halves");
-        assert_eq!(e.stamp(), 0);
-        // And the epoch still works normally afterwards.
-        let g = e.begin();
-        assert_eq!(e.stamp(), 1);
-        drop(g);
-        assert!(e.is_quiescent());
-    }
-
-    #[test]
-    fn epoch_serializes_cross_batches() {
-        use std::sync::atomic::AtomicUsize;
-        let e = Arc::new(CrossBatchEpoch::new());
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let mut handles = vec![];
-        for _ in 0..4 {
-            let e = Arc::clone(&e);
-            let in_flight = Arc::clone(&in_flight);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let _g = e.begin();
-                    let n = in_flight.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(n, 0, "two cross-batches in flight at once");
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(e.is_quiescent());
-        assert_eq!(e.stamp(), 2000);
     }
 
     #[test]

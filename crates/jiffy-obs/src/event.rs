@@ -61,9 +61,8 @@ pub enum EventKind {
     /// (`a` = shard count after cutover).
     ReshardCutover = 14,
 
-    /// A writer gate (reshard `WriterGate` or the serialized
-    /// `CrossBatchEpoch` fallback) observed quiescence (`a` = the
-    /// stamp/count observed quiescent).
+    /// The reshard `WriterGate` observed quiescence (`a` = the
+    /// completed-writer count observed quiescent).
     GateQuiesce = 15,
     /// The cached §3.3.4 GC floor advanced (stamp = the new floor; `a`
     /// = the previous floor).

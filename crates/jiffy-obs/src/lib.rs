@@ -54,8 +54,7 @@ pub const VERBOSE: bool = cfg!(feature = "verbose");
 
 /// Capture the recorder-side [`ObsSnapshot`] (event counters, thread
 /// count). Structure gauges and histograms are attached by the caller:
-/// `JiffyMap`, `ShardedIndex` and `ElasticJiffy` each expose an
-/// `obs_stats()` feeding [`ObsSnapshot::add_structure`].
+/// `JiffyMap` and `ElasticJiffy` each expose an `obs_stats()` feeding [`ObsSnapshot::add_structure`].
 pub fn snapshot() -> ObsSnapshot {
     ObsSnapshot::capture()
 }

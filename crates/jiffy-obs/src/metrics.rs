@@ -7,7 +7,7 @@
 //! no RMW — same discipline as `jiffy`'s `perf_count!` layer), and
 //! [`event_totals`] sums across threads on the rare read path. Gauges
 //! (node/entry/revision-shape numbers) are *fed* by each structure —
-//! `JiffyMap`, `ShardedIndex` and `ElasticJiffy` expose `obs_stats()`
+//! `JiffyMap` and `ElasticJiffy` expose `obs_stats()`
 //! methods returning a [`StructureStats`] that callers attach with
 //! [`ObsSnapshot::add_structure`]. Latency distributions come from
 //! [`LogHistogram`]s summarized via

@@ -252,7 +252,7 @@ pub fn rings() -> Vec<Arc<ThreadRing>> {
 
 /// The newest version stamp any thread has recorded — a *borrowed*
 /// stamp for instrumentation points that have no clock in scope (the
-/// serialized `CrossBatchEpoch` fallback, helping backoff). Events
+/// reshard writer gate, helping backoff). Events
 /// stamped this way sort adjacent to the activity that surrounded
 /// them, which is what a forensic trace needs; they make no claim of
 /// clock-exact placement. Record such events through [`record_hinted`]

@@ -1,37 +1,62 @@
-//! **jiffy-shard** — a range/hash-partitioned sharded ordered index with
-//! coordinated cross-shard batches and snapshots.
+//! **jiffy-shard** — [`ElasticJiffy`], a range/hash-partitioned sharded
+//! Jiffy map with atomic cross-shard batches, consistent cross-shard
+//! scans and online shard split/merge.
 //!
 //! A single `JiffyMap` is the paper's unit of scale; this crate spreads
-//! load across `N` independent [`OrderedIndex`] shards while keeping the
-//! two features that make Jiffy interesting:
+//! load across `N` `JiffyMap` shards that all stamp writes from **one
+//! shared clock** ([`SharedClock`]), keeping the two features that make
+//! Jiffy interesting:
 //!
 //! * **Atomic cross-shard batches, committed concurrently.** A batch is
-//!   split per shard (each sub-batch is atomic inside its shard). When
-//!   the shard type implements [`TwoPhaseBatch`] (Jiffy does), a
+//!   split per shard (each sub-batch is atomic inside its shard). A
 //!   multi-shard batch runs the paper's pending-version protocol
-//!   *across* shards: phase 1 stages one sub-batch per shard, all bound
-//!   to a single pending version drawn once from the shared clock, and
-//!   installs them (invisible — readers skip pending revisions); phase 2
-//!   flips the shared version with one CAS, at which instant every
-//!   sub-batch on every shard becomes visible. Independent cross-shard
-//!   batches commit **concurrently** — there is no global lock, epoch,
-//!   or serialization point on this path. Any reader or writer that
+//!   (§3.3.2–§3.3.3) *across* shards: phase 1 stages one sub-batch per
+//!   shard, all bound to a single pending version drawn once from the
+//!   shared clock, and installs them (invisible — readers skip pending
+//!   revisions); phase 2 flips the shared version with one CAS, at which
+//!   instant every sub-batch on every shard becomes visible. Independent
+//!   cross-shard batches commit **concurrently** — there is no global
+//!   lock or serialization point on this path. Any reader or writer that
 //!   encounters a pending entry *helps*: it installs the remaining
 //!   sub-batches through the batch's resolver and commits, so a stalled
 //!   initiator can never block the map.
-//! * **Consistent cross-shard scans.** When the shards implement
-//!   [`SnapshotIndex`] *and* share one version clock (see
-//!   [`ShardedJiffy`]), a scan pins one snapshot per shard, reads a
-//!   single *cut version* from the shared clock, and advances every
-//!   snapshot to that cut. Because all shards stamp writes from the same
-//!   globally monotone clock — and a cross-shard batch has exactly one
-//!   version — "state at version `v`" is one well-defined instant across
-//!   the whole sharded map: the scan is linearizable, not merely
-//!   per-shard consistent. In-flight two-phase batches need no special
-//!   handling: a pending entry whose optimistic version is at or below
-//!   the cut is resolved by helping (then included or excluded by its
-//!   final version); one above the cut is skipped. Either way every
-//!   shard consults the same shared cell and reaches the same verdict.
+//! * **Consistent cross-shard scans.** A scan pins one snapshot per
+//!   shard, reads a single *cut version* from the shared clock, and
+//!   advances every snapshot to that cut. Because all shards stamp
+//!   writes from the same globally monotone clock — and a cross-shard
+//!   batch has exactly one version — "state at version `v`" is one
+//!   well-defined instant across the whole sharded map: the scan is
+//!   linearizable, not merely per-shard consistent. In-flight batches
+//!   need no special handling: a pending entry whose optimistic version
+//!   is at or below the cut is resolved by helping (then included or
+//!   excluded by its final version); one above the cut is skipped.
+//!   Either way every shard consults the same shared cell and reaches
+//!   the same verdict.
+//!
+//! A static sharded map is simply an [`ElasticJiffy`] nobody asks to
+//! reshard. Range layouts can additionally be **split and merged
+//! online** (see [`ElasticJiffy::split_at`], [`Resharder`]); hash
+//! layouts serve traffic the same way but refuse reshard operations:
+//!
+//! ```
+//! use index_api::{Batch, BatchOp, OrderedIndex};
+//! use jiffy_shard::{ElasticJiffy, Router};
+//!
+//! // 4 Jiffy shards, equal key ranges over [0, 1000).
+//! let map: ElasticJiffy<u64, &str> =
+//!     ElasticJiffy::with_router(Router::range_uniform(4, 1000), Default::default());
+//!
+//! // A batch spanning three shards becomes visible atomically.
+//! map.batch_update(Batch::new(vec![
+//!     BatchOp::Put(10, "a"),
+//!     BatchOp::Put(500, "b"),
+//!     BatchOp::Put(900, "c"),
+//! ]));
+//!
+//! assert_eq!(map.get(&500), Some("b"));
+//! assert_eq!(map.scan_collect(&0, 10).len(), 3);
+//! assert!(map.supports_consistent_scan() && map.supports_atomic_batch());
+//! ```
 //!
 //! # Deadlock freedom of cross-shard helping
 //!
@@ -46,719 +71,31 @@
 //! symmetrically `z <= s`, so both are stuck inside shard `s = z`, where
 //! the single-shard descending-key argument applies. The wait graph is
 //! acyclic, and helping drives whichever batch is ahead to completion.
-//!
-//! When the inner index cannot run two-phase batches but does offer
-//! snapshots, multi-shard batches fall back to serializing on a global
-//! [`jiffy_clock::CrossBatchEpoch`] (correct, but
-//! one-at-a-time — the pre-two-phase behaviour). When the inner index
-//! supports neither (e.g. `Cslm` shards), the wrapper keeps working with
-//! the inner index's native weaker semantics and — the honesty rule —
-//! advertises `supports_consistent_scan() == false` /
-//! `supports_atomic_batch() == false` rather than lie.
 
 #![warn(missing_docs)]
 
+mod layout;
 mod reshard;
 mod router;
 
+pub use layout::ShardLoad;
 pub use reshard::{ElasticJiffy, ReshardError, ReshardEvent, Resharder};
 pub use router::Router;
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crossbeam_utils::CachePadded;
-
-use index_api::{
-    Batch, BatchOp, BatchResolver, OrderedIndex, PendingVersion, PreparedBatch, ReadView,
-    SnapshotIndex, TwoPhaseBatch,
-};
-use jiffy::{JiffyConfig, JiffyMap, MapKey, MapValue};
-use jiffy_clock::{CrossBatchEpoch, DefaultClock, VersionClock};
-
-/// A clock shared by every shard of one [`ShardedIndex`], so versions
+/// A clock shared by every shard of one [`ElasticJiffy`], so versions
 /// drawn by different shards are directly comparable (the foundation of
-/// the cross-shard snapshot cut).
-pub type SharedClock = Arc<dyn VersionClock>;
-
-/// The flagship instantiation: Jiffy shards on one shared clock, with
-/// two-phase cross-shard batches and coordinated snapshots (both
-/// capability flags true).
-pub type ShardedJiffy<K, V> = ShardedIndex<K, V, JiffyMap<K, V, SharedClock>>;
-
-/// How a coordinator pins a shard's read view (captured at construction
-/// when — and only when — the shard type implements [`SnapshotIndex`]).
-type PinFn<K, V, I> = for<'a> fn(&'a I) -> Box<dyn ReadView<K, V> + 'a>;
-
-/// Type-erased [`TwoPhaseBatch`] entry points, captured at construction
-/// when — and only when — the shard type implements the trait (the same
-/// capability-capture trick as [`PinFn`], so the one `ShardedIndex` type
-/// can honestly serve both protocol levels).
-struct TwoPhaseFns<K, V, I> {
-    pending: fn(&I) -> Arc<dyn PendingVersion>,
-    prepare: PrepareFn<K, V, I>,
-    /// Build the batch's shared resolver (install every staged
-    /// sub-batch in canonical order, then commit). A fn pointer filled
-    /// from a generic fn at construction, where the `'static` bounds the
-    /// `'static` resolver closure needs are in scope.
-    make_resolver: MakeResolverFn<I>,
-}
-
-type PrepareFn<K, V, I> =
-    fn(&I, Batch<K, V>, &Arc<dyn PendingVersion>, BatchResolver) -> Arc<dyn PreparedBatch>;
-type MakeResolverFn<I> =
-    fn(std::sync::Weak<[I]>, Arc<dyn PendingVersion>, Arc<Mutex<StagedSubs>>) -> BatchResolver;
-
-/// The staged sub-batches of one in-flight cross-shard batch, in
-/// canonical (descending shard) installation order. Emptied at commit.
-type StagedSubs = Vec<(usize, Arc<dyn PreparedBatch>)>;
-
-/// The cross-shard help-to-completion routine: install every sub-batch
-/// on its shard — descending shard order, the deadlock-freedom rule —
-/// then commit the shared ticket. Invoked by the initiator and by any
-/// reader/writer that encounters one of the batch's pending entries.
-///
-/// Reference-cycle discipline: the resolver is retained by every
-/// revision the batch installed (via the sub-batch descriptors), so
-/// anything it holds strongly outlives the batch. It therefore holds the
-/// shard array *weakly* (a strong ref would keep the whole sharded map
-/// alive through its own revisions — a permanent cycle) and *empties*
-/// the staged set once the ticket commits (the staged handles reference
-/// the descriptors that reference this resolver — the other half of the
-/// cycle). After commit the retained closure is small and acyclic.
-fn make_two_phase_resolver<K, V, I>(
-    shards: std::sync::Weak<[I]>,
-    ticket: Arc<dyn PendingVersion>,
-    subs: Arc<Mutex<StagedSubs>>,
-) -> BatchResolver
-where
-    K: Ord + Clone + 'static,
-    V: Clone + 'static,
-    I: TwoPhaseBatch<K, V> + 'static,
-{
-    Arc::new(move || {
-        // A dead upgrade means the sharded map was dropped, which is
-        // only possible once no operation can reach this batch.
-        let Some(shards) = shards.upgrade() else { return };
-        // Snapshot the staged set outside the lock; installs can take a
-        // while and helpers must not serialize on each other.
-        let staged: StagedSubs =
-            subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
-        for (i, prepared) in staged.iter() {
-            shards[*i].install_prepared(prepared.as_ref());
-        }
-        shards[0].commit_pending(ticket.as_ref());
-        // Committed: break the descriptor <-> resolver cycle for every
-        // sub-batch at once (idempotent; racing helpers hold clones).
-        subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-    })
-}
-
-/// A range- or hash-partitioned index over `N` independent shards.
-///
-/// Built either *weak* ([`ShardedIndex::new`] — any [`OrderedIndex`]
-/// shards, per-shard semantics, both capability flags honestly `false`
-/// for `N > 1`) or *coordinated* ([`ShardedIndex::new_coordinated`] —
-/// shards that implement [`SnapshotIndex`] and share the passed clock,
-/// giving atomic cross-shard batches and linearizable cross-shard
-/// scans).
-///
-/// ```
-/// use index_api::{Batch, BatchOp, OrderedIndex};
-/// use jiffy_shard::{Router, ShardedJiffy};
-///
-/// // 4 Jiffy shards, equal key ranges over [0, 1000).
-/// let map: ShardedJiffy<u64, &str> =
-///     ShardedJiffy::with_router(Router::range_uniform(4, 1000), Default::default());
-///
-/// // A batch spanning three shards becomes visible atomically.
-/// map.batch_update(Batch::new(vec![
-///     BatchOp::Put(10, "a"),
-///     BatchOp::Put(500, "b"),
-///     BatchOp::Put(900, "c"),
-/// ]));
-///
-/// assert_eq!(map.get(&500), Some("b"));
-/// assert_eq!(map.scan_collect(&0, 10).len(), 3);
-/// assert!(map.supports_consistent_scan() && map.supports_atomic_batch());
-/// ```
-pub struct ShardedIndex<K, V, I> {
-    /// `Arc` so in-flight two-phase batch resolvers can hold the shards
-    /// past the borrow of `self` (they live inside shard revisions).
-    shards: Arc<[I]>,
-    router: Router<K>,
-    /// Fallback path only: serializes cross-shard batches of shard types
-    /// without [`TwoPhaseBatch`]; validates their scan pinning windows.
-    epoch: CrossBatchEpoch,
-    /// Present in coordinated mode: the clock every shard draws versions
-    /// from, used to choose the scan cut version.
-    clock: Option<SharedClock>,
-    /// Present in coordinated mode: pins a shard's snapshot view.
-    pin: Option<PinFn<K, V, I>>,
-    /// Present in two-phase mode: the pending-version batch protocol.
-    two_phase: Option<TwoPhaseFns<K, V, I>>,
-    /// Per-shard traffic counters behind [`ShardedIndex::debug_stats`]:
-    /// the observed key-frequency signal that drives online split
-    /// re-derivation (see [`Resharder`]).
-    loads: Box<[ShardCounters]>,
-    label: &'static str,
-    _values: PhantomData<fn() -> V>,
-}
-
-/// One shard's traffic counters (cache-padded so hot shards don't false-
-/// share with their neighbours; relaxed increments keep the hot paths at
-/// one uncontended RMW).
-#[derive(Default)]
-struct ShardCounters {
-    reads: CachePadded<AtomicU64>,
-    updates: CachePadded<AtomicU64>,
-}
-
-/// Observed traffic of one shard, as reported by
-/// [`ShardedIndex::debug_stats`]. Counters accumulate since construction
-/// (relaxed atomics: exact under quiescence, drift-free under
-/// contention).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Point lookups routed to this shard.
-    pub reads: u64,
-    /// Updates routed to this shard: puts, removes, and per-shard batch
-    /// operations.
-    pub updates: u64,
-    /// The shard's §3.3.6 revision-structure telemetry
-    /// ([`OrderedIndex::revision_stats`]), when the shard type exposes
-    /// it. Where traffic counters say how *often* a shard is hit,
-    /// this says how *expensive* each hit has become (revision growth),
-    /// so a [`Resharder`]/autoscaler can tell a hot-but-cheap shard from
-    /// a shard whose structure is degrading.
-    pub revisions: Option<index_api::RevisionStats>,
-}
-
-impl ShardLoad {
-    /// Total operations routed to this shard.
-    pub fn total(&self) -> u64 {
-        self.reads + self.updates
-    }
-}
-
-impl<K, V, I> ShardedIndex<K, V, I>
-where
-    K: Ord + Clone + std::hash::Hash + Send + Sync,
-    V: Clone,
-    I: OrderedIndex<K, V>,
-{
-    /// Wrap pre-built shards behind `router` with *per-shard* semantics:
-    /// operations route to one shard; multi-shard batches and scans make
-    /// no cross-shard consistency promise (and the capability flags say
-    /// so). Use [`ShardedIndex::new_coordinated`] when the shard type
-    /// supports snapshots.
-    pub fn new(shards: Vec<I>, router: Router<K>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        assert_eq!(
-            shards.len(),
-            router.shard_count(),
-            "router addresses {} shards but {} were provided",
-            router.shard_count(),
-            shards.len()
-        );
-        let loads = (0..router.shard_count()).map(|_| ShardCounters::default()).collect();
-        ShardedIndex {
-            shards: shards.into(),
-            router,
-            epoch: CrossBatchEpoch::new(),
-            clock: None,
-            pin: None,
-            two_phase: None,
-            loads,
-            label: "sharded",
-            _values: PhantomData,
-        }
-    }
-
-    /// Wrap snapshot-capable shards with coordinated scans and
-    /// epoch-serialized cross-shard batches (the fallback batch path —
-    /// correct but one-at-a-time). `clock` must be the *same* clock
-    /// every shard stamps its writes with — that is what makes one cut
-    /// version meaningful across shards. Prefer
-    /// [`ShardedIndex::new_two_phase`] when the shard type supports it.
-    pub fn new_coordinated(shards: Vec<I>, router: Router<K>, clock: SharedClock) -> Self
-    where
-        I: SnapshotIndex<K, V>,
-    {
-        let mut this = Self::new(shards, router);
-        this.clock = Some(clock);
-        this.pin = Some(|shard| shard.pin_view());
-        this
-    }
-
-    /// Wrap snapshot-capable, two-phase-capable shards with full
-    /// coordination: linearizable cross-shard scans *and* concurrent
-    /// atomic cross-shard batches via the shared pending-version
-    /// protocol (no epoch serialization on the commit path). The
-    /// [`ShardedJiffy::with_router`] constructor wires this up.
-    ///
-    /// `clock` must be the same clock every shard stamps its writes
-    /// with — that is what makes one commit version and one scan cut
-    /// meaningful across shards:
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use index_api::{Batch, BatchOp, OrderedIndex};
-    /// use jiffy::{JiffyConfig, JiffyMap};
-    /// use jiffy_shard::{Router, ShardedIndex, SharedClock};
-    ///
-    /// // Two Jiffy shards drawing versions from ONE shared clock.
-    /// let clock: SharedClock = Arc::new(jiffy::DefaultClock::default());
-    /// let shards: Vec<JiffyMap<u64, u64, SharedClock>> = (0..2)
-    ///     .map(|_| JiffyMap::with_clock_and_config(Arc::clone(&clock), JiffyConfig::default()))
-    ///     .collect();
-    /// let map = ShardedIndex::new_two_phase(shards, Router::range(vec![100]), clock);
-    ///
-    /// // A batch spanning both shards becomes visible at one commit CAS,
-    /// // and a consistent scan can never observe half of it.
-    /// map.batch_update(Batch::new(vec![BatchOp::Put(1, 10), BatchOp::Put(200, 20)]));
-    /// assert_eq!(map.get(&1), Some(10));
-    /// assert_eq!(map.get(&200), Some(20));
-    /// assert_eq!(map.scan_collect(&0, usize::MAX), vec![(1, 10), (200, 20)]);
-    /// assert!(map.supports_atomic_batch() && map.supports_consistent_scan());
-    /// ```
-    pub fn new_two_phase(shards: Vec<I>, router: Router<K>, clock: SharedClock) -> Self
-    where
-        I: SnapshotIndex<K, V> + TwoPhaseBatch<K, V> + 'static,
-        K: 'static,
-        V: Send + Sync + 'static,
-    {
-        let mut this = Self::new_coordinated(shards, router, clock);
-        this.two_phase = Some(TwoPhaseFns {
-            pending: |shard| shard.pending_version(),
-            prepare: |shard, batch, pending, resolver| {
-                shard.prepare_batch(batch, pending, resolver)
-            },
-            make_resolver: make_two_phase_resolver::<K, V, I>,
-        });
-        this
-    }
-
-    /// Set the stable identifier reported by [`OrderedIndex::name`].
-    pub fn with_label(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards themselves (telemetry / tests).
-    pub fn shards(&self) -> &[I] {
-        &self.shards
-    }
-
-    /// The router partitioning the key space.
-    pub fn router(&self) -> &Router<K> {
-        &self.router
-    }
-
-    /// The shard that owns `key`.
-    pub fn shard_for(&self, key: &K) -> usize {
-        self.router.route(key)
-    }
-
-    /// Per-shard traffic counters (reads and updates routed to each
-    /// shard since construction). This is the observability surface for
-    /// autoscale/reshard decisions: a [`Resharder`] compares the
-    /// distribution of these counters against the even spread the
-    /// construction-time splits (`workload::shard_splits`) aimed for,
-    /// and re-derives split points online when traffic drifts.
-    pub fn debug_stats(&self) -> Vec<ShardLoad> {
-        self.loads
-            .iter()
-            .zip(self.shards.iter())
-            .map(|(c, shard)| ShardLoad {
-                reads: c.reads.load(Ordering::Relaxed),
-                updates: c.updates.load(Ordering::Relaxed),
-                revisions: shard.revision_stats(),
-            })
-            .collect()
-    }
-
-    /// [`debug_stats`](ShardedIndex::debug_stats) folded into the shared
-    /// observability gauge type — one [`jiffy_obs::ShardObs`] per shard
-    /// plus whole-index aggregates — ready for
-    /// [`jiffy_obs::ObsSnapshot::add_structure`].
-    pub fn obs_stats(&self) -> jiffy_obs::StructureStats {
-        let mut out =
-            jiffy_obs::StructureStats { label: self.label.to_string(), ..Default::default() };
-        for load in self.debug_stats() {
-            let mut shard = jiffy_obs::ShardObs {
-                reads: load.reads,
-                updates: load.updates,
-                ..Default::default()
-            };
-            if let Some(r) = load.revisions {
-                shard.nodes = r.nodes;
-                shard.entries = r.entries;
-                shard.mean_revision_size = r.mean_revision_size();
-                shard.max_revision_depth = r.max_revision_depth;
-                out.nodes += r.nodes;
-                out.entries += r.entries;
-                out.max_revision_depth = out.max_revision_depth.max(r.max_revision_depth);
-            }
-            out.shards.push(shard);
-        }
-        if out.nodes > 0 {
-            out.mean_revision_size = out.entries as f64 / out.nodes as f64;
-        }
-        out
-    }
-
-    /// Pin a consistent cut: one view per shard, all advanced to a single
-    /// version from the shared clock.
-    ///
-    /// Two-phase mode needs no validation loop: a cross-shard batch has
-    /// exactly one version (the shared pending cell), so every shard's
-    /// snapshot read reaches the same include/exclude verdict — a
-    /// pending entry at or below the cut is *helped* (the reader-side
-    /// resolution of the §3.3.3 protocol, which installs the batch's
-    /// remaining sub-batches and commits) and then judged by its final
-    /// version; one above the cut is skipped outright.
-    ///
-    /// Fallback (epoch) mode keeps the validated pinning window:
-    /// sub-batches carry independent versions there, so the cut is only
-    /// torn-free if no cross-shard batch overlapped it. Correctness
-    /// sketch: a cross-shard batch that *completed* before the
-    /// quiescence check stamped all its sub-batches before the cut
-    /// version was read, so the whole batch is `<=` the cut and fully
-    /// visible. A batch that *begins* after the stamp re-check applies
-    /// after the clock passed the cut (the spin below), so all its
-    /// stamps are `>` the cut and it is fully invisible. Any batch in
-    /// between changes the stamp and forces a retry — the "torn
-    /// interval".
-    fn pin_consistent_cut(&self) -> Vec<Box<dyn ReadView<K, V> + '_>> {
-        let pin = self.pin.expect("pin_consistent_cut requires coordinated mode");
-        let clock = self.clock.as_ref().expect("coordinated mode carries a clock");
-        loop {
-            let stamp =
-                if self.two_phase.is_none() { Some(self.epoch.wait_quiescent()) } else { None };
-            let mut views: Vec<_> = self.shards.iter().map(|s| pin(s)).collect();
-            let cut = clock.now() as i64;
-            for view in views.iter_mut() {
-                view.advance_to(cut);
-            }
-            // Writes beginning after this point must receive versions
-            // strictly greater than the cut (the paper's `wait_until`
-            // idiom; with a TSC/nanosecond clock this loop essentially
-            // never iterates).
-            while clock.now() as i64 <= cut {
-                std::hint::spin_loop();
-            }
-            match stamp {
-                None => return views, // two-phase: no torn intervals exist
-                Some(stamp) if self.epoch.stamp() == stamp => return views,
-                // Torn interval: a cross-shard batch began while we
-                // pinned. Retry.
-                Some(_) => drop(views),
-            }
-        }
-    }
-
-    /// Commit a multi-shard batch through the shared pending-version
-    /// protocol: stage every sub-batch under one ticket, install
-    /// (descending shard order), flip the ticket. Independent batches on
-    /// this path never wait on each other; overlapping ones sort
-    /// themselves out through §3.3.3 helping.
-    fn two_phase_batch(&self, tp: &TwoPhaseFns<K, V, I>, per_shard: Vec<Vec<BatchOp<K, V>>>) {
-        // One pending version for the whole batch, drawn once from the
-        // shared clock (every shard stamps from it, so shard 0's draw is
-        // the batch's version candidate).
-        let ticket = (tp.pending)(&self.shards[0]);
-        let subs: Arc<Mutex<StagedSubs>> = Arc::new(Mutex::new(Vec::new()));
-        let resolver = (tp.make_resolver)(
-            Arc::downgrade(&self.shards),
-            Arc::clone(&ticket),
-            Arc::clone(&subs),
-        );
-        // Phase 1a (stage): bind each sub-batch to the ticket — nothing
-        // visible yet. Collected in descending shard order, the
-        // canonical installation order (see the module-level
-        // deadlock-freedom argument).
-        let staged: StagedSubs = per_shard
-            .into_iter()
-            .enumerate()
-            .rev()
-            .filter(|(_, ops)| !ops.is_empty())
-            .map(|(i, ops)| {
-                (i, (tp.prepare)(&self.shards[i], Batch::new(ops), &ticket, Arc::clone(&resolver)))
-            })
-            .collect();
-        // Publish the staged set before the first install so any helper
-        // that reaches a pending revision can finish the whole batch
-        // (visibility rides the revision publications: helpers only find
-        // the resolver through installed revisions, which the resolver
-        // installs after this store).
-        *subs.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = staged;
-        // Phase 1b (install) + phase 2 (commit): exactly what a helper
-        // does, so just run the resolver ourselves.
-        resolver();
-    }
-
-    /// Consistent scan over the pinned cut.
-    fn coordinated_scan(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
-        let views = self.pin_consistent_cut();
-        self.fan_scan(&views, |view, l, m, s| view.scan_from(l, m, s), lo, n, sink);
-    }
-
-    /// Per-shard scan with the inner index's native consistency.
-    fn weak_scan(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
-        self.fan_scan(&self.shards, |shard, l, m, s| shard.scan_from(l, m, s), lo, n, sink);
-    }
-
-    /// Fan a limited ordered scan over per-shard sources (pinned views or
-    /// the shards themselves). Range routing walks sources in key order
-    /// starting at `lo`'s shard, crediting the shared limit as the sink
-    /// fires; hash routing streams a k-way heap merge over bounded
-    /// per-shard chunks.
-    fn fan_scan<S>(
-        &self,
-        sources: &[S],
-        scan: impl Fn(&S, &K, usize, &mut dyn FnMut(&K, &V)),
-        lo: &K,
-        n: usize,
-        sink: &mut dyn FnMut(&K, &V),
-    ) {
-        if self.router.is_ordered() {
-            let mut remaining = n;
-            for source in sources.iter().skip(self.router.route(lo)) {
-                if remaining == 0 {
-                    break;
-                }
-                scan(source, lo, remaining, &mut |k, v| {
-                    sink(k, v);
-                    remaining -= 1;
-                });
-            }
-        } else {
-            merge_scan(sources, scan, lo, n, sink);
-        }
-    }
-}
-
-/// Per-shard chunk size for the streaming hash-route merge. Large enough
-/// to amortize the re-descent a chunk refill costs, small enough that a
-/// `scan(lo, 1_000_000)` over 8 shards buffers ~2k entries, not 8M.
-const MERGE_CHUNK: usize = 256;
-
-/// Streaming k-way merge of per-shard ascending scans (shards hold
-/// disjoint keys, so no dedup is needed). Each source is read in bounded
-/// chunks and refilled from its last emitted key on exhaustion, so scan
-/// memory is O(shards · chunk) instead of the former O(n · shards)
-/// whole-run materialization; a min-heap orders the source fronts, so
-/// comparisons are O(n · log shards).
-///
-/// Refills restart *at* the last emitted key (scans are
-/// lower-bound-inclusive) and drop everything `<=` it: against an
-/// immutable pinned view that skips exactly the duplicate; against a
-/// live shard (weak scans) it also stays correct when that key was
-/// concurrently removed. A short chunk marks the source exhausted — an
-/// immutable view cannot grow, and a weak scan makes no promise about
-/// concurrent inserts behind the cursor.
-fn merge_scan<S, K: Ord + Clone, V: Clone>(
-    sources: &[S],
-    scan: impl Fn(&S, &K, usize, &mut dyn FnMut(&K, &V)),
-    lo: &K,
-    n: usize,
-    sink: &mut dyn FnMut(&K, &V),
-) {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, VecDeque};
-
-    let chunk = MERGE_CHUNK.min(n.max(1));
-    let mut runs: Vec<VecDeque<(K, V)>> = Vec::with_capacity(sources.len());
-    let mut exhausted = vec![false; sources.len()];
-    // The heap holds (front key, source) pairs; entries live in `runs`.
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(sources.len());
-    for (i, src) in sources.iter().enumerate() {
-        let mut buf = VecDeque::with_capacity(chunk);
-        scan(src, lo, chunk, &mut |k, v| buf.push_back((k.clone(), v.clone())));
-        exhausted[i] = buf.len() < chunk;
-        if let Some((k, _)) = buf.front() {
-            heap.push(Reverse((k.clone(), i)));
-        }
-        runs.push(buf);
-    }
-    let mut emitted = 0usize;
-    while emitted < n {
-        let Some(Reverse((_, i))) = heap.pop() else { break };
-        let (k, v) = runs[i].pop_front().expect("heap fronts mirror non-empty runs");
-        sink(&k, &v);
-        emitted += 1;
-        if runs[i].is_empty() && !exhausted[i] && emitted < n {
-            // Refill past the emitted key: ask for one extra slot to
-            // cover the inclusive-restart duplicate.
-            let mut seen = 0usize;
-            let buf = &mut runs[i];
-            scan(&sources[i], &k, chunk + 1, &mut |kk, vv| {
-                seen += 1;
-                if *kk > k {
-                    buf.push_back((kk.clone(), vv.clone()));
-                }
-            });
-            exhausted[i] = seen < chunk + 1;
-        }
-        if let Some((nk, _)) = runs[i].front() {
-            heap.push(Reverse((nk.clone(), i)));
-        }
-    }
-}
-
-impl<K: MapKey, V: MapValue> ShardedJiffy<K, V> {
-    /// Build `router.shard_count()` Jiffy shards that all stamp writes
-    /// from one shared [`DefaultClock`], coordinated end to end:
-    /// concurrent two-phase cross-shard batches and linearizable
-    /// cross-shard scans.
-    pub fn with_router(router: Router<K>, config: JiffyConfig) -> Self {
-        let clock: SharedClock = Arc::new(DefaultClock::default());
-        let shards = (0..router.shard_count())
-            .map(|_| JiffyMap::with_clock_and_config(Arc::clone(&clock), config.clone()))
-            .collect();
-        ShardedIndex::new_two_phase(shards, router, clock).with_label("sharded-jiffy")
-    }
-}
-
-impl<K, V, I> OrderedIndex<K, V> for ShardedIndex<K, V, I>
-where
-    K: Ord + Clone + std::hash::Hash + Send + Sync,
-    V: Clone + Send + Sync,
-    I: OrderedIndex<K, V>,
-{
-    fn get(&self, key: &K) -> Option<V> {
-        // Two-phase mode: a cross-shard batch flips everywhere at one
-        // shared-version CAS, so a get routed straight to its shard can
-        // never watch a batch land shard by shard — no wait, ever.
-        // Fallback mode applies sub-batches with independent versions,
-        // so sequential gets could observe a partial batch; waiting out
-        // in-flight cross-batches (one atomic load when quiescent)
-        // closes that window.
-        if self.two_phase.is_none() && !self.epoch.is_quiescent() {
-            self.epoch.wait_quiescent();
-        }
-        let shard = self.router.route(key);
-        self.loads[shard].reads.fetch_add(1, Ordering::Relaxed);
-        self.shards[shard].get(key)
-    }
-
-    fn put(&self, key: K, value: V) {
-        let shard = self.router.route(&key);
-        self.loads[shard].updates.fetch_add(1, Ordering::Relaxed);
-        self.shards[shard].put(key, value)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        let shard = self.router.route(key);
-        self.loads[shard].updates.fetch_add(1, Ordering::Relaxed);
-        self.shards[shard].remove(key)
-    }
-
-    fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
-        if n == 0 {
-            return;
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].scan_from(lo, n, sink);
-        }
-        if self.pin.is_some() {
-            self.coordinated_scan(lo, n, sink)
-        } else {
-            self.weak_scan(lo, n, sink)
-        }
-    }
-
-    fn batch_update(&self, batch: Batch<K, V>) {
-        if self.shards.len() == 1 {
-            self.loads[0].updates.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            return self.shards[0].batch_update(batch);
-        }
-        let mut per_shard: Vec<Vec<BatchOp<K, V>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for op in batch.into_ops() {
-            per_shard[self.router.route(op.key())].push(op);
-        }
-        for (i, ops) in per_shard.iter().enumerate() {
-            if !ops.is_empty() {
-                self.loads[i].updates.fetch_add(ops.len() as u64, Ordering::Relaxed);
-            }
-        }
-        let touched = per_shard.iter().filter(|ops| !ops.is_empty()).count();
-        if touched <= 1 {
-            // Single-shard batch: the shard's own atomicity suffices, no
-            // global coordination cost.
-            for (i, ops) in per_shard.into_iter().enumerate() {
-                if !ops.is_empty() {
-                    self.shards[i].batch_update(Batch::new(ops));
-                }
-            }
-            return;
-        }
-        if let Some(two_phase) = &self.two_phase {
-            return self.two_phase_batch(two_phase, per_shard);
-        }
-        // Fallback: serialize against other cross-shard batches and make
-        // the window detectable by readers. The guard completes the
-        // epoch on drop, so a panicking shard cannot wedge readers.
-        let _guard = self.epoch.begin();
-        for (i, ops) in per_shard.into_iter().enumerate() {
-            if !ops.is_empty() {
-                self.shards[i].batch_update(Batch::new(ops));
-            }
-        }
-    }
-
-    fn supports_consistent_scan(&self) -> bool {
-        if self.shards.len() == 1 {
-            return self.shards[0].supports_consistent_scan();
-        }
-        self.pin.is_some() && self.shards.iter().all(|s| s.supports_consistent_scan())
-    }
-
-    fn supports_atomic_batch(&self) -> bool {
-        let inner = self.shards.iter().all(|s| s.supports_atomic_batch());
-        if self.shards.len() == 1 {
-            return inner;
-        }
-        // Multi-shard batches are atomic on either coordinated path:
-        // two-phase (one shared version) or the epoch fallback
-        // (serialized, readers wait out the window).
-        inner && (self.two_phase.is_some() || self.pin.is_some())
-    }
-
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn revision_stats(&self) -> Option<index_api::RevisionStats> {
-        // Aggregate of whatever the shards report; None only when *no*
-        // shard has the telemetry (mixed layouts report the sum of those
-        // that do — still advisory, per the trait contract).
-        let mut acc: Option<index_api::RevisionStats> = None;
-        for shard in self.shards.iter() {
-            if let Some(s) = shard.revision_stats() {
-                acc.get_or_insert_with(Default::default).merge(&s);
-            }
-        }
-        acc
-    }
-}
+/// the cross-shard snapshot cut and of the single commit version).
+pub type SharedClock = std::sync::Arc<dyn jiffy_clock::VersionClock>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use index_api::{Batch, BatchOp, OrderedIndex};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn sharded_jiffy(router: Router<u64>) -> ShardedJiffy<u64, u64> {
-        ShardedJiffy::with_router(router, JiffyConfig::default())
+    fn sharded_jiffy(router: Router<u64>) -> ElasticJiffy<u64, u64> {
+        ElasticJiffy::with_router(router, Default::default())
     }
 
     fn model_equivalence(map: &dyn OrderedIndex<u64, u64>) {
@@ -854,16 +191,6 @@ mod tests {
         assert_eq!(map.scan_collect(&5998, 10), vec![(5998, 17994), (5999, 17997)]);
     }
 
-    #[test]
-    fn weak_sharded_cslm_matches_model() {
-        let shards: Vec<baselines::Cslm<u64, u64>> =
-            (0..4).map(|_| baselines::Cslm::new()).collect();
-        let map = ShardedIndex::new(shards, Router::range(vec![128, 256, 700]))
-            .with_label("sharded-cslm");
-        assert_eq!(map.name(), "sharded-cslm");
-        model_equivalence(&map);
-    }
-
     /// `debug_stats` must carry the §3.3.6 revision-structure signal per
     /// shard (not just traffic counters), and the whole-index aggregate
     /// must sum the shards — this is what an autoscaler steers on.
@@ -886,41 +213,19 @@ mod tests {
         assert_eq!(total.entries, s0.entries + s1.entries);
         assert_eq!(total.nodes, s0.nodes + s1.nodes);
         assert_eq!(total.max_revision_depth, s0.max_revision_depth.max(s1.max_revision_depth));
-
-        // Weak shards without the telemetry report None all the way up.
-        let cslm = ShardedIndex::new(
-            (0..2).map(|_| baselines::Cslm::<u64, u64>::new()).collect(),
-            Router::range(vec![500]),
-        );
-        cslm.put(1, 1);
-        assert!(cslm.debug_stats()[0].revisions.is_none());
-        assert!(cslm.revision_stats().is_none());
     }
 
     #[test]
     fn capability_flags_are_honest() {
-        let jiffy = sharded_jiffy(Router::range(vec![500]));
-        assert!(jiffy.supports_consistent_scan());
-        assert!(jiffy.supports_atomic_batch());
-        assert_eq!(jiffy.name(), "sharded-jiffy");
-
-        let cslm = ShardedIndex::new(
-            (0..2).map(|_| baselines::Cslm::<u64, u64>::new()).collect(),
-            Router::range(vec![500]),
-        );
-        assert!(!cslm.supports_consistent_scan(), "weak shards must not claim consistency");
-        assert!(!cslm.supports_atomic_batch());
-
-        // A single weak shard reduces to the inner index's own flags.
-        let one = ShardedIndex::new(vec![baselines::Cslm::<u64, u64>::new()], Router::hash(1));
-        assert!(!one.supports_consistent_scan());
-
-        // A single Jiffy shard: trivially consistent, even without the
-        // coordinated constructor.
-        let one_jiffy: ShardedIndex<u64, u64, JiffyMap<u64, u64>> =
-            ShardedIndex::new(vec![JiffyMap::new()], Router::hash(1));
-        assert!(one_jiffy.supports_consistent_scan());
-        assert!(one_jiffy.supports_atomic_batch());
+        // Every layout is two-phase and cut-consistent, so every layout
+        // claims both capabilities: range, hash, and the single shard
+        // that reduces to one Jiffy map.
+        for router in [Router::range(vec![500]), Router::hash(4), Router::hash(1)] {
+            let map = sharded_jiffy(router);
+            assert!(map.supports_consistent_scan());
+            assert!(map.supports_atomic_batch());
+            assert_eq!(map.name(), "elastic-jiffy");
+        }
     }
 
     #[test]
@@ -1050,9 +355,8 @@ mod tests {
         let map = sharded_jiffy(Router::range(vec![100]));
         assert_eq!(map.shard_count(), 2);
         assert_eq!(map.shards().len(), 2);
-        assert_eq!(map.shard_for(&5), 0);
-        assert_eq!(map.shard_for(&100), 1);
-        assert!(map.router().is_ordered());
+        assert_eq!(map.splits(), vec![100]);
+        assert!(map.is_range_routed());
         map.put(5, 1);
         map.put(105, 2);
         // Keys landed in their owning shards.
@@ -1064,7 +368,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "router addresses")]
     fn shard_count_mismatch_panics() {
-        let shards: Vec<JiffyMap<u64, u64>> = vec![JiffyMap::new()];
-        let _ = ShardedIndex::new(shards, Router::range(vec![10]));
+        let clock: SharedClock = std::sync::Arc::new(jiffy::DefaultClock::default());
+        let shard = std::sync::Arc::new(jiffy::JiffyMap::<u64, u64, _>::with_clock_and_config(
+            std::sync::Arc::clone(&clock),
+            Default::default(),
+        ));
+        let _ = layout::Layout::new(vec![shard], Router::range(vec![10]), clock);
     }
 }

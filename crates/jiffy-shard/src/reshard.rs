@@ -1,13 +1,13 @@
 //! Online shard split/merge with snapshot-assisted migration.
 //!
-//! A [`crate::ShardedIndex`] freezes its [`Router`] at construction; a
-//! store under drifting traffic needs to *reshape* the shard layout
-//! without stopping reads or writes. This module lifts Jiffy's own
-//! split/merge of skip-list nodes (paper §3.1) one level up — to shards
-//! — using the two primitives the earlier layers already provide:
+//! One shard layout (a `layout::Layout`) freezes its [`Router`] at
+//! construction; a store under drifting traffic needs to *reshape* the
+//! layout without stopping reads or writes. This module lifts Jiffy's
+//! own split/merge of skip-list nodes (paper §3.1) one level up — to
+//! shards — using the two primitives the earlier layers already provide:
 //! snapshots (§3.4) for the bulk copy and the shared pending-version
-//! machinery (§3.3.2–§3.3.3, `index_api::TwoPhaseBatch`) for the atomic
-//! delta drain.
+//! machinery (§3.3.2–§3.3.3, `JiffyMap::prepare_batch` and friends) for
+//! the atomic delta drain.
 //!
 //! # The cutover protocol
 //!
@@ -98,7 +98,8 @@ use index_api::{Batch, BatchOp, BulkLoad, OrderedIndex};
 use jiffy::{JiffyConfig, JiffyMap, MapKey, MapValue};
 use jiffy_clock::{DefaultClock, VersionClock};
 
-use crate::{Router, ShardLoad, ShardedIndex, SharedClock};
+use crate::layout::{Layout, Shard};
+use crate::{Router, ShardLoad, SharedClock};
 
 /// Errors surfaced by online reshard planning and execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,16 +135,6 @@ impl std::fmt::Display for ReshardError {
 }
 
 impl std::error::Error for ReshardError {}
-
-/// One Jiffy shard held by handle, so a map instance can be shared
-/// between routing generations (untouched shards carry over by `Arc`,
-/// not by copy).
-type Shard<K, V> = Arc<JiffyMap<K, V, SharedClock>>;
-
-/// One routing generation: a fully coordinated sharded index over
-/// `Arc`-shared Jiffy shards (two-phase cross-shard batches, consistent
-/// scans — all the machinery of [`ShardedIndex`], reused wholesale).
-type Layout<K, V> = ShardedIndex<K, V, Shard<K, V>>;
 
 /// The routing state behind [`ElasticJiffy`]'s single atomic pointer:
 /// the committed layout plus, while a migration is staged, the pending
@@ -284,9 +275,10 @@ impl<K: Ord, V> Migration<K, V> {
     }
 }
 
-/// An elastic, range-sharded Jiffy map: a [`crate::ShardedJiffy`] whose
-/// shard layout can be **split and merged online**, with reads, writes,
-/// cross-shard batches and consistent scans running throughout.
+/// An elastic sharded Jiffy map: `N` Jiffy shards on one shared clock
+/// with atomic cross-shard batches and consistent cross-shard scans (see
+/// the crate docs), whose shard layout can be **split and merged
+/// online**, with reads, writes, batches and scans running throughout.
 ///
 /// Point the type at a range [`Router`] and use it like any
 /// [`OrderedIndex`]; call [`split_at`](ElasticJiffy::split_at) /
@@ -341,20 +333,37 @@ pub struct ElasticJiffy<K, V> {
 
 impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
     /// Build `router.shard_count()` Jiffy shards on one shared clock
-    /// behind an elastic routing epoch. The router should be a range
-    /// router — a hash layout constructs and serves traffic fine, but
-    /// every reshard operation on it returns
-    /// [`ReshardError::HashRouter`].
+    /// behind an elastic routing epoch. A map nobody asks to reshard is
+    /// simply a static sharded map. A hash layout serves traffic the same
+    /// way, but has no key ranges to reshape:
+    ///
+    /// ```
+    /// use index_api::{Batch, BatchOp, OrderedIndex};
+    /// use jiffy_shard::{ElasticJiffy, ReshardError, Router};
+    ///
+    /// let map: ElasticJiffy<u64, u64> =
+    ///     ElasticJiffy::with_router(Router::hash(4), Default::default());
+    ///
+    /// // A batch spanning several shards becomes visible at one commit
+    /// // CAS, and a consistent scan can never observe half of it.
+    /// map.batch_update(Batch::new(vec![BatchOp::Put(1, 10), BatchOp::Put(200, 20)]));
+    /// assert_eq!(map.get(&1), Some(10));
+    /// assert_eq!(map.scan_collect(&0, usize::MAX), vec![(1, 10), (200, 20)]);
+    ///
+    /// // Every reshard operation on a hash layout is refused.
+    /// assert_eq!(map.split_at(100), Err(ReshardError::HashRouter));
+    /// assert_eq!(map.merge_at(0), Err(ReshardError::HashRouter));
+    /// ```
     pub fn with_router(router: Router<K>, config: JiffyConfig) -> Self {
         let clock: SharedClock = Arc::new(DefaultClock::default());
-        let layout = Arc::new(Self::build_layout(
+        let layout = Arc::new(Layout::new(
             (0..router.shard_count())
                 .map(|_| {
                     Arc::new(JiffyMap::with_clock_and_config(Arc::clone(&clock), config.clone()))
                 })
                 .collect(),
             router,
-            &clock,
+            Arc::clone(&clock),
         ));
         ElasticJiffy {
             state: Atomic::new(RouterEpoch {
@@ -365,14 +374,6 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
             clock,
             config,
         }
-    }
-
-    fn build_layout(
-        shards: Vec<Shard<K, V>>,
-        router: Router<K>,
-        clock: &SharedClock,
-    ) -> Layout<K, V> {
-        ShardedIndex::new_two_phase(shards, router, Arc::clone(clock)).with_label("elastic-jiffy")
     }
 
     /// Number of shards in the committed layout.
@@ -401,8 +402,19 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
         self.current(guard).layout.router().is_ordered()
     }
 
-    /// Per-shard traffic counters of the committed layout (see
-    /// [`ShardedIndex::debug_stats`]). Counters restart at zero when a
+    /// Handles to the committed layout's shards, in shard order
+    /// (telemetry / tests). The handles stay valid after a reshard
+    /// retires a shard, but writes through them bypass the routing
+    /// epoch — and with it the no-lost-write guarantee of a migration.
+    pub fn shards(&self) -> Vec<Arc<JiffyMap<K, V, SharedClock>>> {
+        let guard = &ebr::pin();
+        self.current(guard).layout.shards().to_vec()
+    }
+
+    /// Per-shard traffic counters of the committed layout: reads and
+    /// updates routed to each shard, plus each shard's revision
+    /// telemetry. This is the observability surface for reshard
+    /// decisions. Counters restart at zero when a
     /// migration commits a new layout, so successive readings between
     /// reshard events measure the *current* epoch's traffic — exactly
     /// the signal a [`Resharder`] thresholds on.
@@ -412,7 +424,8 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
     }
 
     /// The committed layout's gauges folded into the shared observability
-    /// type; see [`ShardedIndex::obs_stats`].
+    /// type — one [`jiffy_obs::ShardObs`] per shard plus whole-map
+    /// aggregates — ready for [`jiffy_obs::ObsSnapshot::add_structure`].
     pub fn obs_stats(&self) -> jiffy_obs::StructureStats {
         let guard = &ebr::pin();
         self.current(guard).layout.obs_stats()
@@ -469,7 +482,7 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
             let mut shards = layout.shards().to_vec();
             shards.splice(shard..=shard, [Arc::clone(&left), Arc::clone(&right)]);
             Ok(Migration {
-                to: Arc::new(Self::build_layout(shards, router, &this.clock)),
+                to: Arc::new(Layout::new(shards, router, Arc::clone(&this.clock))),
                 sources: vec![source],
                 targets: vec![left, right],
                 lo,
@@ -501,7 +514,7 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
             let mut shards = layout.shards().to_vec();
             shards.splice(left..=left + 1, [Arc::clone(&target)]);
             Ok(Migration {
-                to: Arc::new(Self::build_layout(shards, router, &this.clock)),
+                to: Arc::new(Layout::new(shards, router, Arc::clone(&this.clock))),
                 sources: vec![a, b],
                 targets: vec![target],
                 lo,
@@ -860,7 +873,7 @@ impl<K: MapKey, V: MapValue + PartialEq> OrderedIndex<K, V> for ElasticJiffy<K, 
     }
 
     fn name(&self) -> &'static str {
-        "elastic-jiffy"
+        crate::layout::LABEL
     }
 
     fn revision_stats(&self) -> Option<index_api::RevisionStats> {

@@ -1,12 +1,11 @@
-//! [`OrderedIndex`] / [`SnapshotIndex`] implementations so Jiffy plugs
-//! into the shared benchmark harness, the conformance tests, and the
-//! sharded coordinator.
+//! [`OrderedIndex`] / [`BulkLoad`] implementations so Jiffy plugs into
+//! the shared benchmark harness, the conformance tests, and the sharded
+//! coordinator.
 
-use index_api::{Batch, BatchOp, BulkLoad, OrderedIndex, ReadView, SnapshotIndex};
+use index_api::{Batch, BatchOp, BulkLoad, OrderedIndex};
 use jiffy_clock::VersionClock;
 
 use crate::inner::{MapKey, MapValue};
-use crate::map::Snapshot;
 use crate::JiffyMap;
 
 impl<K: MapKey, V: MapValue, C: VersionClock> OrderedIndex<K, V> for JiffyMap<K, V, C> {
@@ -41,30 +40,6 @@ impl<K: MapKey, V: MapValue, C: VersionClock> OrderedIndex<K, V> for JiffyMap<K,
             entries: stats.entries as u64,
             max_revision_depth: stats.max_revision_depth as u64,
         })
-    }
-}
-
-impl<K: MapKey, V: MapValue, C: VersionClock> ReadView<K, V> for Snapshot<'_, K, V, C> {
-    fn version(&self) -> i64 {
-        Snapshot::version(self)
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        Snapshot::get(self, key)
-    }
-
-    fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
-        Snapshot::scan_from(self, lo, n, sink)
-    }
-
-    fn advance_to(&mut self, version: i64) {
-        Snapshot::advance_to(self, version)
-    }
-}
-
-impl<K: MapKey, V: MapValue, C: VersionClock> SnapshotIndex<K, V> for JiffyMap<K, V, C> {
-    fn pin_view(&self) -> Box<dyn ReadView<K, V> + '_> {
-        Box::new(self.snapshot())
     }
 }
 

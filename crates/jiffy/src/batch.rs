@@ -15,7 +15,7 @@
 //! can complete a stalled batch (§3.3.3 item 4).
 //!
 //! A descriptor normally owns its version cell. For a *two-phase* batch
-//! (one sub-batch of a cross-index batch, see `two_phase.rs`) the cell is
+//! (one sub-batch of a cross-map batch, see `two_phase.rs`) the cell is
 //! shared — every participating index's descriptor reads the same cell,
 //! so all of them flip at one CAS — and the descriptor carries the
 //! coordinator's *resolver*: local installation completes without
@@ -27,11 +27,12 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use index_api::{BatchOp, BatchResolver};
+use index_api::BatchOp;
 use jiffy_clock::VersionClock;
 
 use crate::node::NodeKey;
 use crate::revision::Delta;
+use crate::two_phase::BatchResolver;
 use crate::version::VersionCell;
 
 /// Where a descriptor's version lives: its own cell, or one shared with
@@ -123,7 +124,7 @@ impl<K: Ord + Clone, V: Clone> BatchDescriptor<K, V> {
     /// Build a two-phase sub-batch descriptor: the version lives in
     /// `cell` (shared with the sibling sub-batches) and `resolver` is
     /// the coordinator's cross-index help-to-completion routine.
-    pub(crate) fn new_two_phase(
+    pub(crate) fn new_shared(
         cell: Arc<VersionCell>,
         resolver: BatchResolver,
         ops_ascending: Vec<BatchOp<K, V>>,

@@ -98,13 +98,10 @@ pub use config::JiffyConfig;
 pub use inner::{MapKey, MapValue};
 pub use iter::SnapshotIter;
 pub use map::{JiffyMap, MapStats, Snapshot};
-pub use two_phase::{TwoPhasePrepared, TwoPhaseTicket};
+pub use two_phase::{BatchPhase, BatchResolver, TwoPhasePrepared, TwoPhaseTicket};
 
 // Re-export the shared index API types so users need only this crate.
-pub use index_api::{
-    Batch, BatchOp, BatchPhase, BatchResolver, BulkLoad, OrderedIndex, PendingVersion,
-    PreparedBatch, ReadView, SnapshotIndex, TwoPhaseBatch,
-};
+pub use index_api::{Batch, BatchOp, BulkLoad, OrderedIndex};
 // Re-export the clocks for ablation experiments.
 #[cfg(target_arch = "x86_64")]
 pub use jiffy_clock::TscClock;

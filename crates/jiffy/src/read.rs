@@ -280,8 +280,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchResolver;
     use crate::{JiffyConfig, JiffyMap};
-    use index_api::{Batch, BatchOp, BatchResolver, TwoPhaseBatch};
+    use index_api::{Batch, BatchOp};
     use std::sync::Arc;
 
     #[test]
@@ -304,14 +305,14 @@ mod tests {
         let ticket = map.pending_version();
         let resolver: BatchResolver = Arc::new(|| {});
         let prep = map.prepare_batch(Batch::new(vec![BatchOp::Put(10, 2)]), &ticket, resolver);
-        map.install_prepared(prep.as_ref());
+        map.install_prepared(&prep);
         {
             let guard = &epoch::pin();
             assert_eq!(map.inner.get_fast(&10, None, guard), None, "pending head must bail");
         }
         assert_eq!(map.get(&10), Some(1), "generic path skips the pending head");
         // Committed: the head finalizes and the fast path engages again.
-        map.commit_pending(ticket.as_ref());
+        map.commit_pending(&ticket);
         let guard = &epoch::pin();
         assert_eq!(map.inner.get_fast(&10, None, guard), Some(Some(2)));
     }

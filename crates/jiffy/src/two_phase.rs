@@ -1,4 +1,4 @@
-//! Cross-index two-phase batches: Jiffy's pending-version protocol
+//! Cross-map two-phase batches: Jiffy's pending-version protocol
 //! (§3.3.2–§3.3.3) lifted across map instances.
 //!
 //! Inside one `JiffyMap`, a batch is atomic because every revision it
@@ -7,32 +7,35 @@
 //! linearization point. Nothing in that argument requires the revisions
 //! to live in one map — only that they read *one* cell and that all
 //! version numbers come from *one* clock. This module exposes exactly
-//! that generalization through [`index_api::TwoPhaseBatch`]:
+//! that generalization as inherent [`JiffyMap`] methods, driven by a
+//! coordinator such as `jiffy-shard`:
 //!
-//! * [`JiffyMap::pending_version`] draws one optimistic version from the
-//!   map's clock and wraps it in a ticket ([`TwoPhaseTicket`], state
-//!   machine `Pending -> Committed/Aborted`);
-//! * [`JiffyMap::prepare_batch`] stages a sub-batch whose descriptor
-//!   *shares* the ticket's cell and carries the coordinator's resolver;
-//! * [`JiffyMap::install_prepared`] installs the staged revisions (all
-//!   still invisible: readers skip pending revisions, and the shared
-//!   cell is still negative);
-//! * [`JiffyMap::commit_pending`] finalizes the shared cell — at that
-//!   single CAS every sub-batch on every participating map becomes
-//!   visible at once.
+//! 1. [`JiffyMap::pending_version`] draws one optimistic version from the
+//!    map's clock and wraps it in a ticket ([`TwoPhaseTicket`], state
+//!    machine `Pending -> Committed/Aborted`). All participating maps
+//!    must share one version clock;
+//! 2. [`JiffyMap::prepare_batch`] stages a sub-batch whose descriptor
+//!    *shares* the ticket's cell and carries the coordinator's resolver
+//!    — nothing visible yet;
+//! 3. [`JiffyMap::install_prepared`] installs the staged revisions (all
+//!    still invisible: readers skip pending revisions, and the shared
+//!    cell is still negative). Idempotent: initiator and helpers may
+//!    race freely;
+//! 4. [`JiffyMap::commit_pending`] finalizes the shared cell — at that
+//!    single CAS every sub-batch on every participating map becomes
+//!    visible at once.
 //!
 //! Helping: any thread that encounters one of the batch's pending
 //! revisions (a reader resolving a snapshot, a writer stacking a new
 //! revision, another batch) first drives the *local* installation via
 //! the ordinary §3.3.3 helping loop, then invokes the resolver, which
-//! installs every sibling sub-batch and commits. A stalled initiator
-//! therefore never blocks anyone — the exact progress property the
-//! `CrossBatchEpoch` serialization this replaces could not offer.
+//! must perform steps 3–4 for the whole batch. A stalled initiator
+//! therefore never blocks anyone.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use index_api::{Batch, BatchPhase, BatchResolver, PendingVersion, PreparedBatch, TwoPhaseBatch};
+use index_api::Batch;
 use jiffy_clock::VersionClock;
 
 use crate::batch::BatchDescriptor;
@@ -40,26 +43,50 @@ use crate::inner::{MapKey, MapValue};
 use crate::version::{finalize_cell, optimistic_version, VersionCell};
 use crate::JiffyMap;
 
-/// The shared pending version of one cross-index batch. All sub-batch
+/// Lifecycle of one cross-map two-phase batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchPhase {
+    /// Staged or installing; the shared version is still optimistic
+    /// (negative) and no reader selects the batch's revisions.
+    Pending,
+    /// The shared version was finalized: every sub-batch on every
+    /// participating map became visible at that single instant.
+    Committed,
+    /// Abandoned before any sub-batch was installed. Terminal; a ticket
+    /// must never be aborted once any part of it is visible to readers.
+    Aborted,
+}
+
+/// The cross-map help-to-completion routine a coordinator attaches to
+/// each staged sub-batch: it must install *every* sub-batch of the batch
+/// on its map and then commit the shared ticket. Any reader or writer
+/// that runs into one of the batch's pending entries invokes it instead
+/// of blocking, so a stalled initiator can never wedge the map (the
+/// paper's §3.3.3 helping idiom lifted across maps).
+pub type BatchResolver = Arc<dyn Fn() + Send + Sync>;
+
+/// The shared pending version of one cross-map batch. All sub-batch
 /// descriptors bound to this ticket read the same version cell, so the
 /// commit CAS flips every one of them simultaneously.
+///
+/// State machine: `Pending -> Committed` (via
+/// [`JiffyMap::commit_pending`], the batch's linearization point) or
+/// `Pending -> Aborted` (via [`JiffyMap::abort_pending`], legal only
+/// while nothing is installed). Both transitions are one-way.
 pub struct TwoPhaseTicket {
     cell: Arc<VersionCell>,
     aborted: AtomicBool,
 }
 
 impl TwoPhaseTicket {
-    pub(crate) fn cell(&self) -> &Arc<VersionCell> {
-        &self.cell
-    }
-}
-
-impl PendingVersion for TwoPhaseTicket {
-    fn version(&self) -> i64 {
+    /// The version number: negative (optimistic lower bound) while
+    /// pending, the final positive version after commit.
+    pub fn version(&self) -> i64 {
         self.cell.load()
     }
 
-    fn phase(&self) -> BatchPhase {
+    /// Where the ticket is in its `Pending -> Committed/Aborted` machine.
+    pub fn phase(&self) -> BatchPhase {
         if self.aborted.load(Ordering::Acquire) {
             BatchPhase::Aborted
         } else if self.cell.load() >= 0 {
@@ -68,36 +95,26 @@ impl PendingVersion for TwoPhaseTicket {
             BatchPhase::Pending
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
-/// One staged sub-batch (phase 1) of a cross-index two-phase batch.
+/// One staged sub-batch (phase 1) of a cross-map two-phase batch.
+/// Obtained from [`JiffyMap::prepare_batch`]; installed — possibly by
+/// helpers, possibly many times — through [`JiffyMap::install_prepared`].
 pub struct TwoPhasePrepared<K, V> {
     desc: Arc<BatchDescriptor<K, V>>,
 }
 
-impl<K: MapKey, V: MapValue> PreparedBatch for TwoPhasePrepared<K, V> {
-    fn is_installed(&self) -> bool {
+impl<K, V> TwoPhasePrepared<K, V> {
+    /// Whether every operation of this sub-batch has been installed on
+    /// its map (all still invisible until the shared ticket commits).
+    pub fn is_installed(&self) -> bool {
         self.desc.progress() >= self.desc.len()
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
-fn ticket_of(pending: &dyn PendingVersion) -> &TwoPhaseTicket {
-    pending
-        .as_any()
-        .downcast_ref::<TwoPhaseTicket>()
-        .expect("the pending version must come from JiffyMap::pending_version")
-}
-
-impl<K: MapKey, V: MapValue, C: VersionClock> TwoPhaseBatch<K, V> for JiffyMap<K, V, C> {
-    fn pending_version(&self) -> Arc<dyn PendingVersion> {
+impl<K: MapKey, V: MapValue, C: VersionClock> JiffyMap<K, V, C> {
+    /// Draw a fresh pending ticket from this map's version clock.
+    pub fn pending_version(&self) -> Arc<TwoPhaseTicket> {
         let v = optimistic_version(&self.inner.clock);
         let cell = Arc::new(VersionCell::with_value(v));
         // Pending versions are negative; the recorder stamps with the
@@ -106,32 +123,33 @@ impl<K: MapKey, V: MapValue, C: VersionClock> TwoPhaseBatch<K, V> for JiffyMap<K
         Arc::new(TwoPhaseTicket { cell, aborted: AtomicBool::new(false) })
     }
 
-    fn prepare_batch(
+    /// Phase 1 (stage): bind `batch` to the shared `ticket`.
+    /// No operation becomes reachable until
+    /// [`install_prepared`](Self::install_prepared).
+    pub fn prepare_batch(
         &self,
         batch: Batch<K, V>,
-        pending: &Arc<dyn PendingVersion>,
+        ticket: &TwoPhaseTicket,
         resolver: BatchResolver,
-    ) -> Arc<dyn PreparedBatch> {
-        let ticket = ticket_of(pending.as_ref());
+    ) -> Arc<TwoPhasePrepared<K, V>> {
         debug_assert_eq!(
             ticket.phase(),
             BatchPhase::Pending,
             "sub-batches may only be staged on a still-pending ticket"
         );
         Arc::new(TwoPhasePrepared {
-            desc: Arc::new(BatchDescriptor::new_two_phase(
-                Arc::clone(ticket.cell()),
+            desc: Arc::new(BatchDescriptor::new_shared(
+                Arc::clone(&ticket.cell),
                 resolver,
                 batch.into_ops(),
             )),
         })
     }
 
-    fn install_prepared(&self, prepared: &dyn PreparedBatch) {
-        let prepared = prepared
-            .as_any()
-            .downcast_ref::<TwoPhasePrepared<K, V>>()
-            .expect("the prepared batch must come from this map type's prepare_batch");
+    /// Phase 1 (install): install — or help install — the staged
+    /// sub-batch's revisions on this map. Idempotent; returns once the
+    /// sub-batch is fully installed (still invisible to readers).
+    pub fn install_prepared(&self, prepared: &TwoPhasePrepared<K, V>) {
         if prepared.desc.len() == 0 {
             return;
         }
@@ -145,19 +163,22 @@ impl<K: MapKey, V: MapValue, C: VersionClock> TwoPhaseBatch<K, V> for JiffyMap<K
         self.inner.bump_update_tick();
     }
 
-    fn commit_pending(&self, pending: &dyn PendingVersion) -> i64 {
-        let ticket = ticket_of(pending);
+    /// Phase 2: publish the shared final version; every sub-batch bound
+    /// to `ticket` becomes visible atomically. Idempotent; returns the
+    /// final version.
+    pub fn commit_pending(&self, ticket: &TwoPhaseTicket) -> i64 {
         debug_assert!(
             !ticket.aborted.load(Ordering::Acquire),
             "an aborted ticket must never be committed"
         );
-        let v = finalize_cell(&self.inner.clock, ticket.cell());
-        jiffy_obs::trace_event!(TwoPhaseCommit, v, Arc::as_ptr(ticket.cell()) as usize);
+        let v = finalize_cell(&self.inner.clock, &ticket.cell);
+        jiffy_obs::trace_event!(TwoPhaseCommit, v, Arc::as_ptr(&ticket.cell) as usize);
         v
     }
 
-    fn abort_pending(&self, pending: &dyn PendingVersion) -> bool {
-        let ticket = ticket_of(pending);
+    /// Abandon a ticket *no part of which was ever installed*. Returns
+    /// `false` (and does nothing) if the ticket already committed.
+    pub fn abort_pending(&self, ticket: &TwoPhaseTicket) -> bool {
         let v = ticket.cell.load();
         if v >= 0 {
             return false;
@@ -178,7 +199,7 @@ mod tests {
     use index_api::BatchOp;
 
     type SharedMap = JiffyMap<u64, u64, Arc<dyn VersionClock>>;
-    type StagedSubs = Vec<(usize, Arc<dyn PreparedBatch>)>;
+    type StagedSubs = Vec<(usize, Arc<TwoPhasePrepared<u64, u64>>)>;
 
     fn two_maps_one_clock() -> (Arc<SharedMap>, Arc<SharedMap>) {
         // Reuse the sharding wiring: one DefaultClock shared via Arc.
@@ -193,7 +214,7 @@ mod tests {
 
     fn resolver_for(
         maps: &[Arc<SharedMap>; 2],
-        ticket: &Arc<dyn PendingVersion>,
+        ticket: &Arc<TwoPhaseTicket>,
         subs: &Arc<std::sync::OnceLock<StagedSubs>>,
     ) -> BatchResolver {
         let maps = [Arc::clone(&maps[0]), Arc::clone(&maps[1])];
@@ -202,9 +223,9 @@ mod tests {
         Arc::new(move || {
             let Some(subs) = subs.get() else { return };
             for (i, prepared) in subs.iter() {
-                maps[*i].install_prepared(prepared.as_ref());
+                maps[*i].install_prepared(prepared);
             }
-            maps[0].commit_pending(ticket.as_ref());
+            maps[0].commit_pending(&ticket);
         })
     }
 
@@ -229,19 +250,19 @@ mod tests {
         assert_eq!((a.get(&1), b.get(&2)), (Some(0), Some(0)));
 
         // Installed but pending: still nothing visible.
-        a.install_prepared(pa.as_ref());
-        b.install_prepared(pb.as_ref());
+        a.install_prepared(&pa);
+        b.install_prepared(&pb);
         assert!(pa.is_installed() && pb.is_installed());
         assert_eq!((a.get(&1), b.get(&2)), (Some(0), Some(0)));
 
         // Commit: both flip at once.
-        let v = a.commit_pending(ticket.as_ref());
+        let v = a.commit_pending(&ticket);
         assert!(v > 0);
         assert_eq!(ticket.phase(), BatchPhase::Committed);
         assert_eq!(ticket.version(), v);
         assert_eq!((a.get(&1), b.get(&2)), (Some(7), Some(7)));
         // Commit is idempotent.
-        assert_eq!(b.commit_pending(ticket.as_ref()), v);
+        assert_eq!(b.commit_pending(&ticket), v);
     }
 
     #[test]
@@ -260,7 +281,7 @@ mod tests {
             a.prepare_batch(Batch::new(vec![BatchOp::Put(1, 9)]), &ticket, Arc::clone(&resolver));
         let pb = b.prepare_batch(Batch::new(vec![BatchOp::Put(2, 9)]), &ticket, resolver);
         subs.set(vec![(0, Arc::clone(&pa)), (1, Arc::clone(&pb))]).ok();
-        a.install_prepared(pa.as_ref());
+        a.install_prepared(&pa);
         // Initiator "stalls" here: B not installed, nothing committed.
         assert!(!pb.is_installed());
 
@@ -284,14 +305,14 @@ mod tests {
         let subs: Arc<std::sync::OnceLock<StagedSubs>> = Arc::new(std::sync::OnceLock::new());
         let resolver = resolver_for(&[Arc::clone(&a), Arc::clone(&b)], &ticket, &subs);
         let _pa = a.prepare_batch(Batch::new(vec![BatchOp::Put(5, 5)]), &ticket, resolver);
-        assert!(a.abort_pending(ticket.as_ref()));
+        assert!(a.abort_pending(&ticket));
         assert_eq!(ticket.phase(), BatchPhase::Aborted);
         // Nothing was installed, so the map is untouched.
         assert_eq!(a.get(&5), None);
         // An aborted ticket reports its phase but a committed one wins
         // the abort race the other way.
         let t2 = a.pending_version();
-        a.commit_pending(t2.as_ref());
-        assert!(!a.abort_pending(t2.as_ref()), "commit must beat a late abort");
+        a.commit_pending(&t2);
+        assert!(!a.abort_pending(&t2), "commit must beat a late abort");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! mkbench figure <5..=10> [--threads 1,2,4] [--secs 0.5] [--keys 100000] [--out results/figN.csv] [--json BENCH_figN.json]
-//! mkbench quick          [--threads N] [--indices a,b,c] [--json BENCH_pr2.json]  # update/lookup/scan cells, compact lineup
+//! mkbench quick          [--threads N] [--indices a,b,c] [--json BENCH_prN.json]  # update/lookup/scan cells, compact lineup
 //! mkbench compare OLD.json NEW.json [--tolerance PCT]            # perf gate: exit 1 on throughput regression
 //! mkbench sharding       [--threads N] [--shards N] [--keys K]   # jiffy vs sharded-jiffy, uniform vs shard-skewed
 //! mkbench reshard        [--threads N] [--shards N] [--keys K]   # throughput through live shard split/merge (elastic-jiffy)
@@ -231,7 +231,7 @@ fn cmd_figure(figure: u8, args: &Args) {
     let mut rows: Vec<Row> = Vec::new();
     for scenario in spec.scenarios() {
         let batch_row = scenario.batch != BatchMode::Single;
-        let lineup = args.lineup(|| indices_for_figure(spec.with_kiwi, batch_row));
+        let lineup = args.lineup(|| indices_for_figure(batch_row));
         for kind in lineup {
             for &threads in &args.threads {
                 let cfg = cfg_for(args, threads);
@@ -289,16 +289,16 @@ fn cmd_quick(args: &Args) {
         ),
     ];
     // The sharded rows (2 and 8 shards) ride along by default: they are
-    // unmatched-informational under `compare` against pre-sharding
-    // baselines, so the BENCH_pr2.json gate is unaffected.
+    // unmatched-informational under `compare` against a baseline that
+    // lacks them, so the gate is unaffected.
     let lineup = args.lineup(|| {
         vec![
             IndexKind::Jiffy,
             IndexKind::Cslm,
             IndexKind::CaAvl,
             IndexKind::Lfca,
-            IndexKind::ShardedJiffy(2),
-            IndexKind::ShardedJiffy(8),
+            IndexKind::Sharded(2),
+            IndexKind::Sharded(8),
         ]
     });
     let mut rows: Vec<Row> = Vec::new();
@@ -373,39 +373,11 @@ fn cmd_compare(argv: &[String]) {
     }
 }
 
-/// Build a Jiffy-sharded map on one shared clock with either batch
-/// coordination path: `two_phase == false` reconstructs the pre-PR-4
-/// epoch-serialized coordinator (kept as the fallback for non-two-phase
-/// shard types), `true` is the shipping pending-version protocol.
-fn sharded_jiffy_batch_bench(
-    shards: usize,
-    key_space: u64,
-    two_phase: bool,
-) -> jiffy_shard::ShardedIndex<u64, u64, jiffy::JiffyMap<u64, u64, jiffy_shard::SharedClock>> {
-    let clock: jiffy_shard::SharedClock = Arc::new(jiffy::DefaultClock::default());
-    let router = jiffy_shard::Router::range_uniform(shards, key_space);
-    let built: Vec<_> = (0..shards)
-        .map(|_| {
-            jiffy::JiffyMap::with_clock_and_config(
-                Arc::clone(&clock),
-                jiffy::JiffyConfig::default(),
-            )
-        })
-        .collect();
-    if two_phase {
-        jiffy_shard::ShardedIndex::new_two_phase(built, router, clock)
-    } else {
-        jiffy_shard::ShardedIndex::new_coordinated(built, router, clock)
-    }
-}
-
 /// The `cross-batch` contention scenario: every batch touches every
-/// shard — the workload `CrossBatchEpoch` serialized — in two shapes.
-/// *overlapping*: all writers hammer the same key per shard (max
-/// conflict; two-phase pays for helping storms that the epoch's simple
-/// mutual exclusion avoids). *disjoint*: each writer owns its keys
-/// (zero logical conflict; the epoch still serializes these, two-phase
-/// commits them independently — the shape this protocol exists for).
+/// shard, in two shapes. *overlapping*: all writers hammer the same key
+/// per shard (max conflict: helping storms). *disjoint*: each writer
+/// owns its keys (zero logical conflict; the two-phase protocol commits
+/// these independently — the shape it exists for).
 fn cmd_sharding_cross_batch(args: &Args) {
     use index_api::OrderedIndex as _;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -413,69 +385,63 @@ fn cmd_sharding_cross_batch(args: &Args) {
     // exist, so 1 bumps to the minimum meaningful count (announced in
     // the header line below).
     let shards = args.shards.max(2);
-    println!(
-        "## cross-batch contention (all-shard batches, {shards} shards, epoch-serialized vs two-phase)"
-    );
+    println!("## cross-batch contention (all-shard batches, {shards} shards, two-phase)");
     for disjoint in [false, true] {
         println!("# {} writers", if disjoint { "disjoint-key" } else { "overlapping-key" });
         for &t in &args.threads {
-            let mut rates = Vec::new();
-            let mut line = format!("t={t:<2}");
-            for (label, two_phase) in [("serialized", false), ("two-phase", true)] {
-                let map = sharded_jiffy_batch_bench(shards, args.keys, two_phase);
-                // The router splits [0, keys) into `shards` equal ranges
-                // of exactly this width.
-                let span = (args.keys / shards as u64).max(1);
-                // One key per shard per writer, so every batch crosses
-                // all shards; disjoint mode spreads writers inside each
-                // shard's range. Offsets are clamped strictly inside the
-                // span so the all-shard premise survives any --keys
-                // value (disjointness additionally needs span > t + 2,
-                // true at any realistic key-space size).
-                let keys_for = |w: u64| -> Vec<u64> {
-                    (0..shards as u64)
-                        .map(|s| {
-                            let offset = if disjoint {
-                                1 + (w + 1) * span.saturating_sub(1) / (t as u64 + 2)
-                            } else {
-                                span / 2
-                            };
-                            s * span + offset.min(span - 1)
-                        })
-                        .collect()
-                };
-                for w in 0..t as u64 {
-                    map.batch_update(workload_batch(&keys_for(w), 0));
-                }
-                let stop = AtomicBool::new(false);
-                let commits = AtomicU64::new(0);
-                std::thread::scope(|s| {
-                    for w in 0..t as u64 {
-                        let keys = keys_for(w);
-                        let (map, stop, commits) = (&map, &stop, &commits);
-                        s.spawn(move || {
-                            mkbench::with_panic_context(
-                                || format!("cross-batch {label}, writer {w}/{t}"),
-                                || {
-                                    let mut stamp = w + 1;
-                                    while !stop.load(Ordering::Relaxed) {
-                                        map.batch_update(workload_batch(&keys, stamp));
-                                        commits.fetch_add(1, Ordering::Relaxed);
-                                        stamp += t as u64;
-                                    }
-                                },
-                            );
-                        });
-                    }
-                    std::thread::sleep(Duration::from_secs_f64(args.secs));
-                    stop.store(true, Ordering::Relaxed);
-                });
-                let rate = commits.load(Ordering::Relaxed) as f64 / args.secs;
-                rates.push(rate);
-                line.push_str(&format!("  {label}: {rate:>10.0} batches/s"));
+            let map = jiffy_shard::ElasticJiffy::<u64, u64>::with_router(
+                jiffy_shard::Router::range_uniform(shards, args.keys),
+                jiffy::JiffyConfig::default(),
+            );
+            // The router splits [0, keys) into `shards` equal ranges
+            // of exactly this width.
+            let span = (args.keys / shards as u64).max(1);
+            // One key per shard per writer, so every batch crosses
+            // all shards; disjoint mode spreads writers inside each
+            // shard's range. Offsets are clamped strictly inside the
+            // span so the all-shard premise survives any --keys
+            // value (disjointness additionally needs span > t + 2,
+            // true at any realistic key-space size).
+            let keys_for = |w: u64| -> Vec<u64> {
+                (0..shards as u64)
+                    .map(|s| {
+                        let offset = if disjoint {
+                            1 + (w + 1) * span.saturating_sub(1) / (t as u64 + 2)
+                        } else {
+                            span / 2
+                        };
+                        s * span + offset.min(span - 1)
+                    })
+                    .collect()
+            };
+            for w in 0..t as u64 {
+                map.batch_update(workload_batch(&keys_for(w), 0));
             }
-            line.push_str(&format!("  ({:.2}x)", rates[1] / rates[0].max(1e-9)));
-            println!("{line}");
+            let stop = AtomicBool::new(false);
+            let commits = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for w in 0..t as u64 {
+                    let keys = keys_for(w);
+                    let (map, stop, commits) = (&map, &stop, &commits);
+                    s.spawn(move || {
+                        mkbench::with_panic_context(
+                            || format!("cross-batch writer {w}/{t}"),
+                            || {
+                                let mut stamp = w + 1;
+                                while !stop.load(Ordering::Relaxed) {
+                                    map.batch_update(workload_batch(&keys, stamp));
+                                    commits.fetch_add(1, Ordering::Relaxed);
+                                    stamp += t as u64;
+                                }
+                            },
+                        );
+                    });
+                }
+                std::thread::sleep(Duration::from_secs_f64(args.secs));
+                stop.store(true, Ordering::Relaxed);
+            });
+            let rate = commits.load(Ordering::Relaxed) as f64 / args.secs;
+            println!("t={t:<2}  two-phase: {rate:>10.0} batches/s");
         }
     }
 }
@@ -497,8 +463,8 @@ fn cmd_sharding(args: &Args) {
         workload::HOT_TRAFFIC_PCT,
         workload::HOT_SPAN_DIV
     );
-    let lineup = args
-        .lineup(|| vec![IndexKind::Jiffy, IndexKind::ShardedJiffy(2), IndexKind::ShardedJiffy(8)]);
+    let lineup =
+        args.lineup(|| vec![IndexKind::Jiffy, IndexKind::Sharded(2), IndexKind::Sharded(8)]);
     for (label, dist) in [("uniform", KeyDist::Uniform), ("shard-skewed", KeyDist::HotRange)] {
         let scenario =
             Scenario::new(KvShape::K4V4, dist, ThreadMix::UPDATE_ONLY, 0, BatchMode::Single);

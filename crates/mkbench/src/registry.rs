@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use baselines::catree::{AvlContainer, ImmContainer, SkipContainer};
 use baselines::snaptree::RangePartitioner;
-use baselines::{CaTree, Cslm, KaryTree, Kiwi, LfcaTree, SnapTree};
+use baselines::{CaTree, Cslm, KaryTree, LfcaTree, SnapTree};
 use index_api::OrderedIndex;
 use jiffy::{AtomicClock, JiffyConfig, JiffyMap};
-use jiffy_shard::{Router, ShardedIndex, ShardedJiffy};
+use jiffy_shard::{ElasticJiffy, Router};
 use workload::{KeyDist, Value};
 
 /// Default shard count for `sharded-*` kinds parsed without an explicit
@@ -16,7 +16,7 @@ use workload::{KeyDist, Value};
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// Every index of the paper's evaluation (plus the Jiffy ablation
-/// variants used by the A1/A2 experiments and the sharded wrappers).
+/// variants used by the A1/A2 experiments and the sharded map).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexKind {
     Jiffy,
@@ -26,18 +26,16 @@ pub enum IndexKind {
     JiffyNoHash,
     /// Jiffy with a fixed revision size (ablation A3, §3.3.6).
     JiffyFixed(usize),
-    /// `jiffy-shard`: N coordinated Jiffy shards, range-partitioned with
-    /// splits drawn from the scenario's key distribution.
-    ShardedJiffy(usize),
-    /// `jiffy-shard` over CSLM shards — the honest weak-flag wrapper.
-    ShardedCslm(usize),
+    /// `jiffy-shard`'s `ElasticJiffy` over N Jiffy shards,
+    /// range-partitioned with splits drawn from the scenario's key
+    /// distribution (never resharded here: a static sharded map).
+    Sharded(usize),
     SnapTree,
     KAry,
     CaAvl,
     CaSl,
     CaImm,
     Lfca,
-    Kiwi,
     Cslm,
 }
 
@@ -48,15 +46,13 @@ impl IndexKind {
             IndexKind::JiffyAtomicClock => "jiffy-atomic",
             IndexKind::JiffyNoHash => "jiffy-nohash",
             IndexKind::JiffyFixed(_) => "jiffy-fixed",
-            IndexKind::ShardedJiffy(_) => "sharded-jiffy",
-            IndexKind::ShardedCslm(_) => "sharded-cslm",
+            IndexKind::Sharded(_) => "sharded-jiffy",
             IndexKind::SnapTree => "snaptree",
             IndexKind::KAry => "k-ary",
             IndexKind::CaAvl => "ca-avl",
             IndexKind::CaSl => "ca-sl",
             IndexKind::CaImm => "ca-imm",
             IndexKind::Lfca => "lfca",
-            IndexKind::Kiwi => "kiwi",
             IndexKind::Cslm => "cslm",
         }
     }
@@ -68,15 +64,14 @@ impl IndexKind {
     pub fn label(&self) -> String {
         match self {
             IndexKind::JiffyFixed(n) => format!("jiffy-fixed:{n}"),
-            IndexKind::ShardedJiffy(n) => format!("sharded-jiffy:{n}"),
-            IndexKind::ShardedCslm(n) => format!("sharded-cslm:{n}"),
+            IndexKind::Sharded(n) => format!("sharded-jiffy:{n}"),
             other => other.name().to_string(),
         }
     }
 
     /// Parse a CLI index name. Parameterized kinds take a `:<n>` suffix
-    /// (`jiffy-fixed:<n>` requires one; `sharded-jiffy`/`sharded-cslm`
-    /// default to `default_shards` without one). Returns a user-facing
+    /// (`jiffy-fixed:<n>` requires one; `sharded-jiffy` defaults to
+    /// `default_shards` without one). Returns a user-facing
     /// message on malformed input — callers turn it into the exit-2
     /// usage error.
     pub fn parse_with_default_shards(s: &str, default_shards: usize) -> Result<IndexKind, String> {
@@ -105,15 +100,12 @@ impl IndexKind {
             "ca-sl" => IndexKind::CaSl,
             "ca-imm" => IndexKind::CaImm,
             "lfca" => IndexKind::Lfca,
-            "kiwi" => IndexKind::Kiwi,
             "cslm" => IndexKind::Cslm,
             other => {
                 if let Some(rest) = other.strip_prefix("jiffy-fixed") {
                     IndexKind::JiffyFixed(parse_param(rest, "revision size", None)?)
                 } else if let Some(rest) = other.strip_prefix("sharded-jiffy") {
-                    IndexKind::ShardedJiffy(parse_param(rest, "shard count", Some(default_shards))?)
-                } else if let Some(rest) = other.strip_prefix("sharded-cslm") {
-                    IndexKind::ShardedCslm(parse_param(rest, "shard count", Some(default_shards))?)
+                    IndexKind::Sharded(parse_param(rest, "shard count", Some(default_shards))?)
                 } else {
                     return Err(format!("unknown index `{other}`"));
                 }
@@ -136,7 +128,7 @@ impl IndexKind {
                 | IndexKind::JiffyAtomicClock
                 | IndexKind::JiffyNoHash
                 | IndexKind::JiffyFixed(_)
-                | IndexKind::ShardedJiffy(_)
+                | IndexKind::Sharded(_)
                 | IndexKind::CaAvl
                 | IndexKind::CaSl
         )
@@ -182,17 +174,10 @@ pub fn make_index_u64<V: Value>(
         IndexKind::JiffyFixed(n) => {
             Arc::new(JiffyMap::<u64, V>::with_config(JiffyConfig::fixed(n)))
         }
-        IndexKind::ShardedJiffy(n) => Arc::new(ShardedJiffy::<u64, V>::with_router(
+        IndexKind::Sharded(n) => Arc::new(ElasticJiffy::<u64, V>::with_router(
             sharded_router_u64(n, key_space, dist),
             JiffyConfig::default(),
         )),
-        IndexKind::ShardedCslm(n) => Arc::new(
-            ShardedIndex::new(
-                (0..n).map(|_| Cslm::<u64, V>::new()).collect(),
-                sharded_router_u64(n, key_space, dist),
-            )
-            .with_label("sharded-cslm"),
-        ),
         IndexKind::SnapTree => {
             Arc::new(SnapTree::<u64, V, _>::with_partitioner(64, RangePartitioner { key_space }))
         }
@@ -201,13 +186,12 @@ pub fn make_index_u64<V: Value>(
         IndexKind::CaSl => Arc::new(CaTree::<u64, V, SkipContainer<u64, V>>::new()),
         IndexKind::CaImm => Arc::new(CaTree::<u64, V, ImmContainer<u64, V>>::new()),
         IndexKind::Lfca => Arc::new(LfcaTree::<u64, V>::new()),
-        IndexKind::Kiwi => Arc::new(Kiwi::<u64, V>::new()),
         IndexKind::Cslm => Arc::new(Cslm::<u64, V>::new()),
     }
 }
 
-/// Build an index over `u32` keys (the 4 B/4 B shape; the only shape the
-/// paper runs KiWi with). See [`make_index_u64`] for `dist`.
+/// Build an index over `u32` keys (the 4 B/4 B shape). See
+/// [`make_index_u64`] for `dist`.
 pub fn make_index_u32<V: Value>(
     kind: IndexKind,
     key_space: u64,
@@ -225,17 +209,10 @@ pub fn make_index_u32<V: Value>(
         IndexKind::JiffyFixed(n) => {
             Arc::new(JiffyMap::<u32, V>::with_config(JiffyConfig::fixed(n)))
         }
-        IndexKind::ShardedJiffy(n) => Arc::new(ShardedJiffy::<u32, V>::with_router(
+        IndexKind::Sharded(n) => Arc::new(ElasticJiffy::<u32, V>::with_router(
             sharded_router_u32(n, key_space, dist),
             JiffyConfig::default(),
         )),
-        IndexKind::ShardedCslm(n) => Arc::new(
-            ShardedIndex::new(
-                (0..n).map(|_| Cslm::<u32, V>::new()).collect(),
-                sharded_router_u32(n, key_space, dist),
-            )
-            .with_label("sharded-cslm"),
-        ),
         IndexKind::SnapTree => {
             Arc::new(SnapTree::<u32, V, _>::with_partitioner(64, RangePartitioner { key_space }))
         }
@@ -244,20 +221,18 @@ pub fn make_index_u32<V: Value>(
         IndexKind::CaSl => Arc::new(CaTree::<u32, V, SkipContainer<u32, V>>::new()),
         IndexKind::CaImm => Arc::new(CaTree::<u32, V, ImmContainer<u32, V>>::new()),
         IndexKind::Lfca => Arc::new(LfcaTree::<u32, V>::new()),
-        IndexKind::Kiwi => Arc::new(Kiwi::<u32, V>::new()),
         IndexKind::Cslm => Arc::new(Cslm::<u32, V>::new()),
     }
 }
 
-/// The index line-up of one figure (paper §4.1): KiWi appears only in the
-/// 4 B figures; batch rows only include batch-capable indices plus the
-/// lock-free references.
-pub fn indices_for_figure(with_kiwi: bool, batch_row: bool) -> Vec<IndexKind> {
+/// The index line-up of one figure (paper §4.1): batch rows only include
+/// the batch-capable indices.
+pub fn indices_for_figure(batch_row: bool) -> Vec<IndexKind> {
     if batch_row {
         // The paper's batch plots: Jiffy vs CA-AVL vs CA-SL.
         vec![IndexKind::Jiffy, IndexKind::CaAvl, IndexKind::CaSl]
     } else {
-        let mut v = vec![
+        vec![
             IndexKind::Jiffy,
             IndexKind::SnapTree,
             IndexKind::KAry,
@@ -266,11 +241,7 @@ pub fn indices_for_figure(with_kiwi: bool, batch_row: bool) -> Vec<IndexKind> {
             IndexKind::CaImm,
             IndexKind::Lfca,
             IndexKind::Cslm,
-        ];
-        if with_kiwi {
-            v.push(IndexKind::Kiwi);
-        }
-        v
+        ]
     }
 }
 
@@ -288,18 +259,12 @@ mod tests {
             IndexKind::CaSl,
             IndexKind::CaImm,
             IndexKind::Lfca,
-            IndexKind::Kiwi,
             IndexKind::Cslm,
         ] {
             assert_eq!(IndexKind::parse(kind.name()), Ok(kind), "{kind:?}");
         }
         // Parameterized kinds round-trip through their labels.
-        for kind in [
-            IndexKind::JiffyFixed(64),
-            IndexKind::ShardedJiffy(2),
-            IndexKind::ShardedJiffy(8),
-            IndexKind::ShardedCslm(3),
-        ] {
+        for kind in [IndexKind::JiffyFixed(64), IndexKind::Sharded(2), IndexKind::Sharded(8)] {
             assert_eq!(IndexKind::parse(&kind.label()), Ok(kind), "{kind:?}");
         }
         // Legacy no-colon spelling still accepted.
@@ -309,14 +274,14 @@ mod tests {
 
     #[test]
     fn parse_sharded_defaults_and_overrides() {
-        assert_eq!(IndexKind::parse("sharded-jiffy"), Ok(IndexKind::ShardedJiffy(DEFAULT_SHARDS)));
+        assert_eq!(IndexKind::parse("sharded-jiffy"), Ok(IndexKind::Sharded(DEFAULT_SHARDS)));
         assert_eq!(
             IndexKind::parse_with_default_shards("sharded-jiffy", 8),
-            Ok(IndexKind::ShardedJiffy(8))
+            Ok(IndexKind::Sharded(8))
         );
         assert_eq!(
-            IndexKind::parse_with_default_shards("sharded-cslm:2", 8),
-            Ok(IndexKind::ShardedCslm(2)),
+            IndexKind::parse_with_default_shards("sharded-jiffy:2", 8),
+            Ok(IndexKind::Sharded(2)),
             "explicit :<n> beats the --shards default"
         );
     }
@@ -339,7 +304,7 @@ mod tests {
             "sharded-jiffy:zap",
             "sharded-jiffy:0",
             "sharded-jiffy0",
-            "sharded-cslm:-1",
+            "sharded-jiffy:-1",
         ] {
             let err = IndexKind::parse(bad).unwrap_err();
             assert!(err.contains("shard count"), "{bad}: {err}");
@@ -354,16 +319,14 @@ mod tests {
             IndexKind::JiffyAtomicClock,
             IndexKind::JiffyNoHash,
             IndexKind::JiffyFixed(32),
-            IndexKind::ShardedJiffy(2),
-            IndexKind::ShardedJiffy(8),
-            IndexKind::ShardedCslm(4),
+            IndexKind::Sharded(2),
+            IndexKind::Sharded(8),
             IndexKind::SnapTree,
             IndexKind::KAry,
             IndexKind::CaAvl,
             IndexKind::CaSl,
             IndexKind::CaImm,
             IndexKind::Lfca,
-            IndexKind::Kiwi,
             IndexKind::Cslm,
         ] {
             let idx = make_index_u64::<u32>(kind, 1000, KeyDist::Uniform);
@@ -376,14 +339,7 @@ mod tests {
 
     #[test]
     fn every_index_constructs_and_works_u32() {
-        for kind in [
-            IndexKind::Jiffy,
-            IndexKind::Kiwi,
-            IndexKind::CaAvl,
-            IndexKind::Cslm,
-            IndexKind::ShardedJiffy(4),
-            IndexKind::ShardedCslm(2),
-        ] {
+        for kind in [IndexKind::Jiffy, IndexKind::CaAvl, IndexKind::Cslm, IndexKind::Sharded(4)] {
             let idx = make_index_u32::<u32>(kind, 1000, KeyDist::Uniform);
             idx.put(7, 70);
             assert_eq!(idx.get(&7), Some(70), "{kind:?}");
@@ -394,7 +350,7 @@ mod tests {
     fn sharded_kinds_use_distribution_aware_splits() {
         // Under hot-range traffic the shards must carve the hot range:
         // the shard owning key 0 must not also own the whole cold space.
-        let idx = make_index_u64::<u32>(IndexKind::ShardedJiffy(8), 100_000, KeyDist::HotRange);
+        let idx = make_index_u64::<u32>(IndexKind::Sharded(8), 100_000, KeyDist::HotRange);
         for k in (0..100_000).step_by(997) {
             idx.put(k, k as u32);
         }
@@ -405,14 +361,11 @@ mod tests {
 
     #[test]
     fn sharded_capability_flags_in_registry() {
-        let jiffy = make_index_u64::<u32>(IndexKind::ShardedJiffy(4), 1000, KeyDist::Uniform);
+        let jiffy = make_index_u64::<u32>(IndexKind::Sharded(4), 1000, KeyDist::Uniform);
         assert!(jiffy.supports_consistent_scan());
         assert!(jiffy.supports_atomic_batch());
-        assert_eq!(jiffy.name(), "sharded-jiffy");
-        let cslm = make_index_u64::<u32>(IndexKind::ShardedCslm(4), 1000, KeyDist::Uniform);
-        assert!(!cslm.supports_consistent_scan());
-        assert!(!cslm.supports_atomic_batch());
-        assert_eq!(cslm.name(), "sharded-cslm");
+        assert_eq!(jiffy.name(), "elastic-jiffy");
+        assert_eq!(IndexKind::Sharded(4).label(), "sharded-jiffy:4");
     }
 
     #[test]
@@ -420,14 +373,13 @@ mod tests {
         assert!(IndexKind::Jiffy.supports_batches());
         assert!(IndexKind::CaAvl.supports_batches());
         assert!(IndexKind::CaSl.supports_batches());
-        assert!(IndexKind::ShardedJiffy(4).supports_batches());
-        assert!(!IndexKind::ShardedCslm(4).supports_batches());
+        assert!(IndexKind::Sharded(4).supports_batches());
         assert!(!IndexKind::Lfca.supports_batches());
         assert!(!IndexKind::SnapTree.supports_batches());
         assert!(!IndexKind::Cslm.supports_batches());
-        let batch_lineup = indices_for_figure(true, true);
+        let batch_lineup = indices_for_figure(true);
         assert_eq!(batch_lineup.len(), 3);
-        let full_lineup = indices_for_figure(true, false);
-        assert_eq!(full_lineup.len(), 9);
+        let full_lineup = indices_for_figure(false);
+        assert_eq!(full_lineup.len(), 8);
     }
 }

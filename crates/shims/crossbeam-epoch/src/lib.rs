@@ -732,9 +732,15 @@ mod tests {
             // SAFETY: the swap unlinked `s`; nobody re-reads it.
             unsafe { guard.defer_destroy(s) };
         }
-        // Cycle enough pins to advance the epoch twice and drain.
-        for _ in 0..4 * PINS_BETWEEN_COLLECT {
-            drop(pin());
+        // Cycle pins until the epoch has advanced twice and the bag
+        // drained. A sibling test pinned on another thread can hold the
+        // epoch back for a while, so wait on the outcome (bounded), not
+        // on a fixed number of pins.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while DROPS.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+            for _ in 0..PINS_BETWEEN_COLLECT {
+                drop(pin());
+            }
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 1, "deferred drop never ran");
     }

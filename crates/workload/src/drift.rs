@@ -5,7 +5,7 @@
 //! guess. Real traffic drifts: a hot range moves, a tenant churns, the
 //! declared distribution was wrong. The functions here close the loop
 //! from *observed* per-shard operation counts (e.g.
-//! `jiffy_shard::ShardedIndex::debug_stats`) back to split points:
+//! `jiffy_shard::ElasticJiffy::debug_stats`) back to split points:
 //!
 //! * [`load_imbalance`] quantifies how far the observed counts are from
 //!   the even spread the construction-time splits aimed for;

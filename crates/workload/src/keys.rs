@@ -34,8 +34,9 @@ impl Key16 {
     }
 }
 
-/// Benchmark value constructors for the two shapes.
-pub trait Value: Clone + Send + Sync + 'static {
+/// Benchmark value constructors for the two shapes. `PartialEq` because
+/// `ElasticJiffy` diffs values when it drains a shard migration.
+pub trait Value: Clone + PartialEq + Send + Sync + 'static {
     /// Build a value derived from `seed`.
     fn make(seed: u64) -> Self;
     /// Payload size in bytes (for reporting).

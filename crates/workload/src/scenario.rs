@@ -308,8 +308,6 @@ pub struct FigureSpec {
     /// Whether the figure also reports update-only throughput rows
     /// (the appendix versions, Figs. 7–10).
     pub update_rows: bool,
-    /// Whether KiWi appears (4 B-key figures only).
-    pub with_kiwi: bool,
 }
 
 /// The figure inventory of the paper's evaluation.
@@ -320,42 +318,36 @@ pub fn figure_scenarios(figure: u8) -> Option<FigureSpec> {
             shape: KvShape::K16V100,
             dist: KeyDist::Uniform,
             update_rows: false,
-            with_kiwi: false,
         },
         6 => FigureSpec {
             figure: 6,
             shape: KvShape::K4V4,
             dist: KeyDist::Uniform,
             update_rows: false,
-            with_kiwi: true,
         },
         7 => FigureSpec {
             figure: 7,
             shape: KvShape::K16V100,
             dist: KeyDist::Uniform,
             update_rows: true,
-            with_kiwi: false,
         },
         8 => FigureSpec {
             figure: 8,
             shape: KvShape::K16V100,
             dist: KeyDist::Zipfian,
             update_rows: true,
-            with_kiwi: false,
         },
         9 => FigureSpec {
             figure: 9,
             shape: KvShape::K4V4,
             dist: KeyDist::Uniform,
             update_rows: true,
-            with_kiwi: true,
         },
         10 => FigureSpec {
             figure: 10,
             shape: KvShape::K4V4,
             dist: KeyDist::Zipfian,
             update_rows: true,
-            with_kiwi: true,
         },
         _ => return None,
     };

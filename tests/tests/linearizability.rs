@@ -9,7 +9,7 @@ use std::sync::Mutex;
 
 use index_api::{Batch, BatchOp, OrderedIndex};
 use jiffy::JiffyMap;
-use jiffy_shard::{Router, ShardedJiffy};
+use jiffy_shard::{ElasticJiffy, Router};
 use linearize::{check_bounded, Event, Op, Outcome};
 
 struct Recorder {
@@ -152,15 +152,14 @@ fn concurrent_batches_and_scans_linearize() {
 /// sharded map: scans must never observe half a batch, and causally
 /// ordered writes to different shards must never appear inverted — the
 /// coordinated cut (per-shard snapshots aligned on one shared-clock
-/// version, validated against the cross-batch epoch) is what makes the
-/// combined history linearizable rather than merely per-shard
-/// consistent.
+/// version) is what makes the combined history linearizable rather than
+/// merely per-shard consistent.
 #[test]
 fn sharded_cross_shard_batches_and_scans_linearize() {
     for round in 0..30 {
         // Two shards, split at key 3: each batch and each scan spans the
         // boundary. Tiny revisions keep every op near split/merge paths.
-        let map: ShardedJiffy<u64, u64> = ShardedJiffy::with_router(
+        let map: ElasticJiffy<u64, u64> = ElasticJiffy::with_router(
             Router::range(vec![3]),
             jiffy::JiffyConfig {
                 min_revision_size: 2,
@@ -238,12 +237,11 @@ fn sharded_cross_shard_batches_and_scans_linearize() {
     }
 }
 
-/// The two-phase successor of the test above: N *overlapping*
-/// cross-shard batches race point ops and consistent scans with **no**
-/// epoch serialization anywhere on the commit path — every multi-shard
-/// batch runs the shared pending-version protocol and concurrent
-/// batches commit independently (the PR-3 version of this test ran all
-/// cross-shard batches one-at-a-time behind `CrossBatchEpoch`). The
+/// The contended variant of the test above: N *overlapping*
+/// cross-shard batches race point ops and consistent scans with no
+/// serialization anywhere on the commit path — every multi-shard batch
+/// runs the shared pending-version protocol and concurrent batches
+/// commit independently. The
 /// Wing–Gong checker then certifies the combined history: batches must
 /// appear atomic, scans must cut consistently across shards, and the
 /// helping performed by readers/writers that run into pending entries
@@ -252,7 +250,7 @@ fn sharded_cross_shard_batches_and_scans_linearize() {
 fn concurrent_cross_shard_batches_linearize() {
     for round in 0..30 {
         // Three shards split at 3 and 6; batches span all three.
-        let map: ShardedJiffy<u64, u64> = ShardedJiffy::with_router(
+        let map: ElasticJiffy<u64, u64> = ElasticJiffy::with_router(
             Router::range(vec![3, 6]),
             jiffy::JiffyConfig {
                 min_revision_size: 2,
@@ -263,8 +261,7 @@ fn concurrent_cross_shard_batches_linearize() {
         );
         let rec = Recorder::new();
         std::thread::scope(|s| {
-            // Three overlapping all-shard batchers (the serialized
-            // design's worst case: they used to take the epoch in turn).
+            // Three overlapping all-shard batchers.
             for t in 0..3u64 {
                 let map = &map;
                 let rec = &rec;
