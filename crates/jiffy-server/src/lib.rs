@@ -2,12 +2,13 @@
 //!
 //! The serving stack turns N independent network clients into the kind
 //! of traffic Jiffy's batch-update protocol (KobusKW22 §3.3) is built
-//! for: shard workers drain wait-free ingress queues and *coalesce*
-//! runs of single-key puts into one Jiffy batch, so one pending-version
+//! for: shard workers drain their ingress queues and *coalesce* runs
+//! of single-key puts into one Jiffy batch, so one pending-version
 //! install pays for many client writes. See [`server`] for the thread
 //! architecture, [`protocol`] for the wire format, [`queue`] for the
-//! Adas/Friedman-structured MPSC ingress queue, and [`client`] for a
-//! small blocking client.
+//! ingress queue (`std::sync::mpsc` behind the three names the server
+//! uses — once requests are batched, the queue that carries them can
+//! be the boring one), and [`client`] for a small blocking client.
 //!
 //! ```no_run
 //! use std::sync::Arc;

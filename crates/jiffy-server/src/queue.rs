@@ -1,319 +1,95 @@
-//! The per-shard-worker ingress queue: an unbounded **MPSC** queue in
-//! the structure of Adas & Friedman's Jiffy queue — a linked list of
-//! fixed-size buffers, producers claiming slots with one
-//! `fetch_add`, each slot published by a single release store.
+//! The server's one channel type: an unbounded FIFO **MPSC** queue,
+//! used for worker ingress, per-connection responses and the
+//! acceptor → io-thread hand-off. It is `std::sync::mpsc` behind the
+//! three names the server (and `benchmark/`) use, with the two
+//! behaviours the server relies on fixed in one place: `send` cannot
+//! fail and `recv` never blocks.
 //!
-//! # Structure (and how it relates to the paper's queue)
-//!
-//! The Jiffy queue's insight is that an MPSC queue needs no CAS loop on
-//! the hot enqueue path: a shared `tail` counter hands out globally
-//! unique slot indices by fetch-and-add (wait-free), and the index maps
-//! to a slot in a linked list of fixed-capacity buffer segments. Only
-//! segment *linking* uses CAS, once per `SEG_CAP` enqueues, and a loser
-//! simply adopts the winner's segment — bounded retries, so enqueue
-//! stays wait-free. We keep that shape:
-//!
-//! * `enqueue`: `tail.fetch_add(1)` claims index `i`; walk from the
-//!   oldest live segment to the one covering `i` (allocating/linking at
-//!   the end as needed); write the value; flip the slot's `ready` flag
-//!   with a release store. No CAS except the once-per-segment link.
-//! * `dequeue` (single consumer): consume slots in strict index order.
-//!   A claimed-but-unpublished slot at the head reads as "empty for
-//!   now" — unlike the paper's queue we do **not** skip over in-flight
-//!   slots, because the server relies on per-producer FIFO: one
-//!   connection's requests are enqueued sequentially by its event-loop
-//!   thread, and strict index order then preserves that connection's
-//!   request order end to end.
-//!
-//! # Segment reclamation
-//!
-//! A producer may be walking the segment list while the consumer
-//! retires fully-consumed segments, so retirement goes through the same
-//! epoch-based reclamation (`crossbeam_epoch`) the rest of the
-//! workspace uses: producers pin for the duration of the walk; the
-//! consumer swings `head_seg` forward and `defer_destroy`s the old
-//! segment. The walk always starts at `head_seg`, which can never be
-//! past an unpublished claimed slot (the consumer cannot consume past
-//! it), so a producer's own slot is always reachable.
+//! Why nothing cleverer: once the workers batch, the queue that feeds
+//! them is not where the time goes, and on the benchmark's `queue.*`
+//! rungs `std`'s channel moved a message in 89 ns against 246 ns for
+//! the hand-rolled wait-free queue it replaced (ARCHITECTURE.md,
+//! "Ingress queues").
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
-
-use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
-
-/// Slots per segment (one allocation per `SEG_CAP` enqueues).
-const SEG_CAP: usize = 256;
-
-/// One slot: a value cell published by the `ready` flag.
-struct Slot<T> {
-    /// 0 = claimed/empty, 1 = value written (release-published).
-    ready: AtomicU8,
-    val: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// One fixed-capacity buffer in the linked list.
-struct Segment<T> {
-    /// Global index of `slots[0]`.
-    base: u64,
-    next: Atomic<Segment<T>>,
-    slots: Box<[Slot<T>]>,
-}
-
-impl<T> Segment<T> {
-    fn new(base: u64) -> Segment<T> {
-        Segment {
-            base,
-            next: Atomic::null(),
-            slots: (0..SEG_CAP)
-                .map(|_| Slot {
-                    ready: AtomicU8::new(0),
-                    val: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-        }
-    }
-}
-
-struct Inner<T> {
-    /// Next unclaimed global slot index; `fetch_add` is the claim.
-    tail: AtomicU64,
-    /// Next index the consumer will take (consumer-written, shared so
-    /// `len()` and `Drop` can see it).
-    head: AtomicU64,
-    /// Oldest live segment. Consumer-advanced; producer walks start here.
-    head_seg: Atomic<Segment<T>>,
-}
-
-// SAFETY: the queue hands each value from exactly one producer to the
-// single consumer; slots are published with release/acquire via `ready`,
-// so `Inner` is safe to share whenever `T: Send` (no `&T` is ever shared
-// across threads, so `T: Sync` is not required).
-unsafe impl<T: Send> Send for Inner<T> {}
-// SAFETY: see above — cross-thread access to a slot's value is a
-// transfer, never sharing.
-unsafe impl<T: Send> Sync for Inner<T> {}
-
-impl<T> Drop for Inner<T> {
-    fn drop(&mut self) {
-        // Exclusive access: both handles are gone. Drop any published,
-        // unconsumed values, then free the segment chain outright (no
-        // epoch dance needed — nobody can be walking it).
-        let guard = epoch::pin();
-        let mut seg = self.head_seg.load(Ordering::Acquire, &guard).as_raw();
-        let head = self.head.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        while !seg.is_null() {
-            // SAFETY: exclusive (&mut self) and never freed before —
-            // the consumer defers destruction of segments it retires,
-            // and this chain holds only segments never retired.
-            let s = unsafe { &*seg };
-            for i in 0..SEG_CAP as u64 {
-                let idx = s.base + i;
-                if idx >= head
-                    && idx < tail
-                    && s.slots[i as usize].ready.load(Ordering::Acquire) == 1
-                {
-                    // SAFETY: published (ready==1) and not yet consumed
-                    // (idx >= head), so the cell holds an initialized
-                    // value nobody else will touch again.
-                    unsafe { (*s.slots[i as usize].val.get()).assume_init_drop() };
-                }
-            }
-            let next = s.next.load(Ordering::Acquire, &guard).as_raw();
-            // SAFETY: this segment was allocated by `Owned::new` and is
-            // unreachable from any other thread (see above).
-            drop(unsafe { Box::from_raw(seg as *mut Segment<T>) });
-            seg = next;
-        }
-    }
-}
+use std::sync::mpsc;
 
 /// Producer handle: cloneable, shareable across threads.
-pub struct Sender<T> {
-    inner: Arc<Inner<T>>,
-}
+pub struct Sender<T>(mpsc::Sender<T>);
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Sender<T> {
-        Sender { inner: Arc::clone(&self.inner) }
+        Sender(self.0.clone())
     }
 }
 
-/// Consumer handle: exactly one exists per queue (`&mut self` methods).
-pub struct Receiver<T> {
-    inner: Arc<Inner<T>>,
-}
+/// Consumer handle: exactly one exists per queue.
+pub struct Receiver<T>(mpsc::Receiver<T>);
 
-/// Create an ingress queue, returning the producer and consumer ends.
+/// Create a queue, returning the producer and consumer ends.
 pub fn channel<T: Send>() -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(Inner {
-        tail: AtomicU64::new(0),
-        head: AtomicU64::new(0),
-        head_seg: Atomic::new(Segment::new(0)),
-    });
-    (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
+    let (tx, rx) = mpsc::channel();
+    (Sender(tx), Receiver(rx))
 }
 
 impl<T: Send> Sender<T> {
-    /// Enqueue one value. Wait-free modulo the once-per-`SEG_CAP`
-    /// segment allocation: the slot claim is a single `fetch_add`, the
-    /// publish a single release store, and the link CAS is retried at
-    /// most once per segment boundary (the loser adopts the winner's
-    /// link and moves on).
+    /// Enqueue one value. Values from one producer arrive in the order
+    /// that producer sent them.
+    ///
+    /// A send to a queue whose [`Receiver`] is gone **drops the value**
+    /// — the `SendError` is discarded on purpose. Both cases in the
+    /// server are ones where nobody will ever read the message: a
+    /// worker answering a connection its io thread already reaped, and
+    /// an io thread routing to a worker that exited at shutdown.
+    /// Dropping the frame at once beats queueing it until the last
+    /// sender lets go.
     pub fn send(&self, val: T) {
-        let inner = &*self.inner;
-        // Claim: unique global index. Relaxed is enough — the slot's
-        // `ready` release store is what publishes the payload; the
-        // claim only needs atomicity, not ordering.
-        let idx = inner.tail.fetch_add(1, Ordering::Relaxed);
-        let guard = epoch::pin();
-        // Walk from the oldest live segment to the one covering `idx`.
-        // `head_seg.base <= idx` always: the consumer cannot advance
-        // past an unpublished slot, and ours is unpublished until below.
-        let mut seg = inner.head_seg.load(Ordering::Acquire, &guard);
-        loop {
-            // SAFETY: `seg` was loaded under `guard` from a reachable
-            // link; segments are only freed via `defer_destroy` after
-            // being unlinked, so the reference lives at least as long
-            // as the pin.
-            let s = unsafe { seg.as_raw().as_ref().unwrap() };
-            if idx < s.base + SEG_CAP as u64 {
-                debug_assert!(idx >= s.base);
-                let slot = &s.slots[(idx - s.base) as usize];
-                // SAFETY: `idx` was claimed by exactly one fetch_add,
-                // so this producer is the only writer of this cell for
-                // this lap, and the consumer reads it only after the
-                // release store of `ready` below.
-                unsafe { (*slot.val.get()).write(val) };
-                // Publish: pairs with the consumer's acquire load.
-                slot.ready.store(1, Ordering::Release);
-                return;
-            }
-            let next = s.next.load(Ordering::Acquire, &guard);
-            if next.is_null() {
-                // Extend the list. One CAS per segment boundary; the
-                // loser frees its allocation and adopts the winner's.
-                let cand = Owned::new(Segment::new(s.base + SEG_CAP as u64));
-                match s.next.compare_exchange(
-                    Shared::null(),
-                    cand,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(linked) => seg = linked,
-                    Err(e) => seg = e.current,
-                }
-            } else {
-                seg = next;
-            }
-        }
-    }
-
-    /// Claimed-but-possibly-unconsumed backlog (approximate, for stats).
-    pub fn len(&self) -> usize {
-        let tail = self.inner.tail.load(Ordering::Relaxed);
-        let head = self.inner.head.load(Ordering::Relaxed);
-        tail.saturating_sub(head) as usize
-    }
-
-    /// Whether the queue currently looks empty (approximate).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let _ = self.0.send(val);
     }
 }
 
 impl<T: Send> Receiver<T> {
-    /// Dequeue the next value in claim order, or `None` if the queue is
-    /// empty *or* the head slot is claimed but not yet published (the
-    /// producer is between its `fetch_add` and its release store — try
-    /// again shortly; the server's worker loop parks with a timeout, so
-    /// a stalled producer delays, never deadlocks).
+    /// Dequeue the next value without blocking; `None` when the queue
+    /// is empty right now (or every [`Sender`] is gone and it is
+    /// drained — the server's loops poll a shutdown flag, so they need
+    /// not tell the two apart).
     pub fn recv(&mut self) -> Option<T> {
-        let inner = &*self.inner;
-        let head = inner.head.load(Ordering::Relaxed);
-        if head == inner.tail.load(Ordering::Acquire) {
-            return None;
-        }
-        let guard = epoch::pin();
-        let mut seg_shared = inner.head_seg.load(Ordering::Acquire, &guard);
-        // SAFETY: only this consumer retires segments, and it has not
-        // retired this one (it is still `head_seg`).
-        let mut s = unsafe { seg_shared.as_raw().as_ref().unwrap() };
-        // Lazily retire fully-consumed segments: `head` may sit one past
-        // the current head segment's end if the next link was not yet up
-        // when its last slot was taken.
-        while head >= s.base + SEG_CAP as u64 {
-            let next = s.next.load(Ordering::Acquire, &guard);
-            if next.is_null() {
-                // `head < tail`, so index `head` is claimed and its
-                // producer will link the segment; it just has not yet.
-                return None;
-            }
-            inner.head_seg.store(next, Ordering::Release);
-            // SAFETY: the retired segment is now unreachable from
-            // `head_seg`; producers still inside it are pinned, and
-            // `defer_destroy` waits out their epochs.
-            unsafe { guard.defer_destroy(seg_shared) };
-            seg_shared = next;
-            // SAFETY: as above — just swung `head_seg` to this segment.
-            s = unsafe { seg_shared.as_raw().as_ref().unwrap() };
-        }
-        debug_assert!(head >= s.base);
-        let slot = &s.slots[(head - s.base) as usize];
-        // Pairs with the producer's release store: after observing
-        // ready==1 the payload write is visible.
-        if slot.ready.load(Ordering::Acquire) == 0 {
-            return None; // claimed, not yet published
-        }
-        // SAFETY: published and consumed exactly once — `head` is
-        // advanced below and never revisits this index.
-        let val = unsafe { (*slot.val.get()).assume_init_read() };
-        inner.head.store(head + 1, Ordering::Release);
-        Some(val)
-    }
-
-    /// See [`Sender::len`].
-    pub fn len(&self) -> usize {
-        let tail = self.inner.tail.load(Ordering::Relaxed);
-        let head = self.inner.head.load(Ordering::Relaxed);
-        tail.saturating_sub(head) as usize
-    }
-
-    /// Whether the queue currently looks empty (approximate).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.try_recv().ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    /// A consumed segment mid-chain: recv must cross segment boundaries
-    /// and the values must arrive in claim order.
+    /// How many clones of `token` are alive inside queues: the tests'
+    /// drop counter (a payload is one `Arc` clone).
+    fn live(token: &Arc<()>) -> usize {
+        Arc::strong_count(token) - 1
+    }
+
+    /// Values arrive in send order, across many of `std`'s internal
+    /// 31-slot blocks, and an empty queue reads `None` without blocking.
     #[test]
     fn fifo_across_segment_boundaries() {
         let (tx, mut rx) = channel::<u64>();
-        let total = (SEG_CAP * 3 + 17) as u64;
-        for i in 0..total {
+        assert_eq!(rx.recv(), None);
+        for i in 0..785 {
             tx.send(i);
         }
-        for i in 0..total {
+        for i in 0..785 {
             assert_eq!(rx.recv(), Some(i));
         }
         assert_eq!(rx.recv(), None);
-        assert!(rx.is_empty());
     }
 
     /// N producers race; the consumer must see every value exactly once,
-    /// and each producer's own values in the order it sent them.
+    /// and each producer's own values in the order it sent them — the
+    /// server's per-connection ordering contract.
     #[test]
     fn mpsc_no_loss_no_dup_per_producer_fifo() {
         const PRODUCERS: u64 = 4;
-        const PER: u64 = 5_000; // ~20k ops, dozens of segment links
+        const PER: u64 = 5_000;
         let (tx, mut rx) = channel::<u64>();
         std::thread::scope(|s| {
             for p in 0..PRODUCERS {
@@ -327,11 +103,9 @@ mod tests {
             s.spawn(move || {
                 let mut last_per: [Option<u64>; PRODUCERS as usize] = [None; PRODUCERS as usize];
                 let mut seen = 0u64;
-                let mut spins = 0u32;
                 while seen < PRODUCERS * PER {
                     match rx.recv() {
                         Some(v) => {
-                            spins = 0;
                             seen += 1;
                             let (p, i) = (v >> 32, v & 0xFFFF_FFFF);
                             let prev = last_per[p as usize].replace(i);
@@ -341,12 +115,7 @@ mod tests {
                                 "p{p}: {prev:?} -> {i}"
                             );
                         }
-                        None => {
-                            spins += 1;
-                            if spins > 64 {
-                                std::thread::yield_now();
-                            }
-                        }
+                        None => std::thread::yield_now(),
                     }
                 }
                 assert_eq!(rx.recv(), None);
@@ -354,34 +123,34 @@ mod tests {
         });
     }
 
-    /// Unconsumed values (including ones still in retired-but-deferred
-    /// segments' successors) are dropped exactly once with the queue.
+    /// Unconsumed values are dropped exactly once with the queue.
     #[test]
     fn drop_frees_unconsumed_values() {
-        use std::sync::atomic::AtomicUsize;
-        static LIVE: AtomicUsize = AtomicUsize::new(0);
-        struct Counted;
-        impl Counted {
-            fn new() -> Counted {
-                LIVE.fetch_add(1, Ordering::Relaxed);
-                Counted
-            }
-        }
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                LIVE.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        let token = Arc::new(());
         {
-            let (tx, mut rx) = channel::<Counted>();
-            for _ in 0..SEG_CAP + 40 {
-                tx.send(Counted::new());
+            let (tx, mut rx) = channel();
+            for _ in 0..296 {
+                tx.send(Arc::clone(&token));
             }
             for _ in 0..10 {
                 drop(rx.recv().unwrap());
             }
-            assert_eq!(LIVE.load(Ordering::Relaxed), SEG_CAP + 30);
+            assert_eq!(live(&token), 286);
         }
-        assert_eq!(LIVE.load(Ordering::Relaxed), 0, "queue drop must free the backlog");
+        assert_eq!(live(&token), 0, "queue drop must free the backlog");
+    }
+
+    /// The reaped-connection case: the consumer is gone, a producer
+    /// still holds its end. `send` must not panic, and must drop the
+    /// value rather than park it where nobody will read it.
+    #[test]
+    fn send_after_receiver_dropped_drops_the_value() {
+        let token = Arc::new(());
+        let (tx, rx) = channel();
+        tx.send(Arc::clone(&token));
+        drop(rx);
+        assert_eq!(live(&token), 0, "receiver drop frees what was queued");
+        tx.send(Arc::clone(&token));
+        assert_eq!(live(&token), 0, "a send with no receiver frees its value at once");
     }
 }

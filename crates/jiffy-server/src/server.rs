@@ -7,7 +7,7 @@
 //! acceptor ──round-robin──▶ io-thread 0..I   (nonblocking sockets,
 //!    │                        │  │             frame reassembly,
 //!    ▼                        ▼  ▼             response writes)
-//!  TcpListener            ingress queues (wait-free MPSC, one per worker)
+//!  TcpListener            ingress queues (`std` MPSC, one per worker)
 //!                             │  │
 //!                             ▼  ▼
 //!                         worker 0..W  ──▶  Arc<ElasticJiffy<u64, u64>>
@@ -15,10 +15,12 @@
 //!
 //! Each **event-loop thread** owns a set of connections outright
 //! (`std::net` nonblocking sockets polled round-robin — no epoll in a
-//! dependency-free build, and loopback soak traffic keeps every
-//! iteration busy). It reassembles frames, decodes requests and routes
-//! each to a shard worker's ingress queue, picked from the *current*
-//! router split points so one worker sees one shard's keys. Routing is
+//! dependency-free build; the cost is that an idle event loop still
+//! polls, 7–9 % of the machine in the benchmark's
+//! `server.io_cpu_frac_*` rungs). It reassembles frames, decodes
+//! requests and routes each to a shard worker's ingress queue, picked
+//! from the *current* router split points so one worker sees one
+//! shard's keys. Routing is
 //! an affinity hint, not a correctness requirement: every worker
 //! executes against the whole elastic map, so a key that moved shards
 //! mid-flight (live split/merge) is still handled correctly, just with
@@ -32,7 +34,7 @@
 //! first. Multi-key transactions go through `batch_update` too, which
 //! routes cross-shard sets through the existing two-phase path.
 //! Responses are enqueued on the connection's response queue — another
-//! MPSC instance, consumed by the owning event loop — and a put's
+//! [`queue`] instance, consumed by the owning event loop — and a put's
 //! response is enqueued only *after* its batch installs, so a
 //! client-observed response is always a linearization witness.
 //!
@@ -70,17 +72,18 @@ pub type Map = ElasticJiffy<u64, u64>;
 /// The durable wrapper the workers write through when durability is on.
 pub type DurableStore = DurableMap<Arc<Map>>;
 
+/// Flush a coalescing run once it reaches this many puts even if the
+/// queue has more (bounds per-batch latency and memory).
+const COALESCE_MAX: usize = 128;
+
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Event-loop threads (thread-per-core; connections are assigned
     /// round-robin at accept time and never migrate).
     pub io_threads: usize,
-    /// Shard workers, each with its own wait-free ingress queue.
+    /// Shard workers, each with its own ingress queue.
     pub workers: usize,
-    /// Flush a coalescing run once it reaches this many puts even if
-    /// the queue has more (bounds per-batch latency and memory).
-    pub coalesce_max: usize,
     /// Write durability. [`Durability::None`] (the default) keeps the
     /// RAM-only hot path with no WAL at all; `batch` logs with a
     /// bounded loss window; `fsync` defers every write's ack until its
@@ -95,13 +98,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            io_threads: 2,
-            workers: 2,
-            coalesce_max: 128,
-            durability: Durability::None,
-            data_dir: None,
-        }
+        ServerConfig { io_threads: 2, workers: 2, durability: Durability::None, data_dir: None }
     }
 }
 
@@ -253,22 +250,11 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
                 let durable = durable.clone();
                 let stats = Arc::clone(&stats);
                 let shutdown = Arc::clone(&shutdown);
-                let coalesce_max = cfg.coalesce_max.max(2);
                 let sleeping = Arc::new(AtomicBool::new(false));
                 let sleeping_worker = Arc::clone(&sleeping);
                 let join = std::thread::Builder::new()
                     .name(format!("jfs-worker-{w}"))
-                    .spawn(move || {
-                        worker_loop(
-                            map,
-                            durable,
-                            rx,
-                            stats,
-                            shutdown,
-                            coalesce_max,
-                            sleeping_worker,
-                        )
-                    })
+                    .spawn(move || worker_loop(map, durable, rx, stats, shutdown, sleeping_worker))
                     .expect("spawn worker");
                 let handle = Arc::new(WorkerHandle { tx, thread: join.thread().clone(), sleeping });
                 threads.push(join);
@@ -540,7 +526,6 @@ fn worker_loop(
     mut rx: queue::Receiver<Ingress>,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
-    coalesce_max: usize,
     sleeping: Arc<AtomicBool>,
 ) {
     // The coalescing run: queued single-key puts awaiting one batch.
@@ -590,13 +575,15 @@ fn worker_loop(
         }
     };
 
+    // A message taken by the pre-park re-check, handled next iteration.
+    let mut carried: Option<Ingress> = None;
     loop {
-        match rx.recv() {
+        match carried.take().or_else(|| rx.recv()) {
             Some(Ingress { conn, req }) => match req {
                 Request::Put { id, key, val } => {
                     run_ops.push(BatchOp::Put(key, val));
                     run_resps.push((conn, id));
-                    if run_ops.len() >= coalesce_max {
+                    if run_ops.len() >= COALESCE_MAX {
                         flush(&mut run_ops, &mut run_resps);
                     }
                 }
@@ -655,14 +642,20 @@ fn worker_loop(
                 }
             },
             None => {
-                // Queue drained (or head mid-publish): install what we
-                // coalesced, then sleep until a producer wakes us.
+                // Queue drained: install what we coalesced, then sleep
+                // until a producer wakes us. The flag + park protocol is
+                // deliberate: blocking in `std`'s `recv_timeout` instead
+                // measured 7 % slower end to end (ARCHITECTURE.md,
+                // "Worker parking").
                 flush(&mut run_ops, &mut run_resps);
                 if shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 sleeping.store(true, Ordering::Release);
-                if rx.is_empty() {
+                // Re-check after publishing `sleeping`: a producer that
+                // enqueued before seeing the flag owes us no unpark.
+                carried = rx.recv();
+                if carried.is_none() {
                     // Timeout bounds a lost wake (producer checked
                     // `sleeping` before we set it).
                     std::thread::park_timeout(Duration::from_millis(1));

@@ -370,7 +370,7 @@ fn soak_1k_connections_through_split_and_merge() {
     let server = serve(
         Arc::clone(&map),
         "127.0.0.1:0",
-        ServerConfig { io_threads: 2, workers: 2, coalesce_max: 128, ..ServerConfig::default() },
+        ServerConfig { io_threads: 2, workers: 2, ..ServerConfig::default() },
     )
     .unwrap();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -15,7 +15,6 @@
 //! `compare` diffs two `BENCH_*.json` reports as a regression gate.
 
 pub mod artifacts;
-pub mod client;
 pub mod compare;
 pub mod hist;
 pub mod json;
@@ -24,13 +23,10 @@ pub mod report;
 pub mod runner;
 
 pub use artifacts::{prepare_artifact_dir, resolve_under};
-pub use client::{run_client_driver, ClientDriverConfig};
 pub use compare::{compare, parse_report, BenchReport, BenchRow, Comparison};
 pub use hist::LogHistogram;
 pub use registry::{indices_for_figure, make_index_u32, make_index_u64, IndexKind, DEFAULT_SHARDS};
-pub use report::{
-    write_csv, write_json, LatencySummary, Measurement, OpCosts, Row, RunMeta, ServerCounters,
-};
+pub use report::{write_csv, write_json, LatencySummary, Measurement, OpCosts, Row, RunMeta};
 pub use runner::{
     last_worker_panic, parse_inject_panic, run_scenario, with_panic_context, BenchKey, RunConfig,
 };

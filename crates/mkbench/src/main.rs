@@ -11,12 +11,10 @@
 //! mkbench autoscale      [--secs S] [--keys K]                   # §4.3: revision sizes under write-only vs update-lookup
 //! mkbench ablation clock|hash|revsize [--threads ...] [--secs S] # A1/A2/A3
 //! mkbench trace          [--threads N] [--secs S] [--keys K] [--json FILE]  # merged flight-recorder trace + obs snapshot as JSON
-//! mkbench client         [--conns N] [--pipeline D] [--threads N] [--churn] [--require-coalescing] [--durability none|batch|fsync] [--json FILE]  # end-to-end jiffy-server loopback driver
 //!
 //! All subcommands accept `--dir ARTIFACTS`: an artifact root, created
 //! and probed writable up front (exit 2 otherwise), under which
-//! relative `--out`/`--json` paths — and `client`'s durability data —
-//! are placed.
+//! relative `--out`/`--json` paths are placed.
 //! ```
 //!
 //! Observability hooks: every subcommand runs with the `jiffy-obs`
@@ -733,145 +731,6 @@ fn cmd_trace(args: &Args) {
     }
 }
 
-/// `mkbench client` — end-to-end serving benchmark: an in-process
-/// `jiffy-server` over loopback TCP, driven by pipelined nonblocking
-/// connections; reports client-observed throughput and p50/p95/p99 per
-/// op class plus the server's coalescing counters (see
-/// `mkbench::client`). `--require-coalescing` makes the run itself a
-/// gate: exit 1 unless the window provably coalesced puts into batches
-/// (installed batches > 0 and mean ops per batch > 1).
-fn cmd_client(argv: &[String]) {
-    let mut cfg = mkbench::ClientDriverConfig::default();
-    let mut json: Option<String> = None;
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut require_coalescing = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--conns" => {
-                cfg.conns = flag_value(argv, &mut i, "--conns")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage_error("--conns takes an integer >= 1"));
-            }
-            "--pipeline" => {
-                cfg.pipeline = flag_value(argv, &mut i, "--pipeline")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage_error("--pipeline takes an integer >= 1"));
-            }
-            "--threads" => {
-                cfg.threads = flag_value(argv, &mut i, "--threads")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage_error("--threads takes a driver thread count >= 1"));
-            }
-            "--secs" => {
-                cfg.secs = flag_value(argv, &mut i, "--secs")
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| usage_error("--secs takes a positive float"));
-            }
-            "--warmup" => {
-                cfg.warmup = flag_value(argv, &mut i, "--warmup")
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                    .unwrap_or_else(|| usage_error("--warmup takes a non-negative float"));
-            }
-            "--keys" => {
-                cfg.key_space = flag_value(argv, &mut i, "--keys")
-                    .parse()
-                    .ok()
-                    .filter(|k| *k >= 2)
-                    .unwrap_or_else(|| usage_error("--keys takes an integer >= 2"));
-            }
-            "--shards" => {
-                cfg.shards = flag_value(argv, &mut i, "--shards")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage_error("--shards takes an integer >= 1"));
-            }
-            "--churn" => cfg.churn = true,
-            "--require-coalescing" => require_coalescing = true,
-            "--json" => json = Some(flag_value(argv, &mut i, "--json").to_string()),
-            "--dir" => dir = Some(parse_artifact_dir(argv, &mut i)),
-            "--durability" => {
-                cfg.durability = flag_value(argv, &mut i, "--durability")
-                    .parse()
-                    .unwrap_or_else(|msg: String| usage_error(&msg));
-            }
-            other => usage_error(&format!("unknown client flag `{other}`")),
-        }
-        i += 1;
-    }
-    // WAL + checkpoints live under the artifact root when one is given
-    // (the run's durability data is itself an inspectable artifact).
-    if let Some(d) = &dir {
-        cfg.data_dir = Some(d.join("durability"));
-    }
-    let m = mkbench::run_client_driver(&cfg);
-    let sv = m.server.expect("client rows always carry the server column");
-    let worst_p99 = [m.update_lat, m.lookup_lat, m.scan_lat]
-        .iter()
-        .flatten()
-        .map(|l| l.p99_ns)
-        .max()
-        .unwrap_or(0);
-    eprintln!(
-        "[client] {} conns x {} deep{} (durability {:?}): {:.3} Mops/s (upd {:.3}, read {:.3}, scan {:.3}; worst p99 {worst_p99} ns)",
-        cfg.conns,
-        cfg.pipeline,
-        if cfg.churn { ", reshard churn" } else { "" },
-        cfg.durability,
-        m.total_mops,
-        m.update_mops,
-        m.read_mops,
-        m.scan_mops
-    );
-    eprintln!(
-        "[client] server: {} batches installed, {} puts coalesced ({:.2} ops/batch), {} direct ops, {} txns",
-        sv.installed_batches,
-        sv.coalesced_puts,
-        sv.ops_per_batch(),
-        sv.direct_ops,
-        sv.txns
-    );
-    let scenario =
-        format!("client_c{}_p{}{}", cfg.conns, cfg.pipeline, if cfg.churn { "_churn" } else { "" });
-    let rows = vec![Row { scenario, index: "jiffy-server".into(), threads: cfg.threads, m }];
-    println!("{}", mkbench::report::render_table(&rows));
-    if let Some(path) = &json {
-        let meta = mkbench::RunMeta {
-            label: "client".into(),
-            threads: vec![cfg.threads],
-            secs: cfg.secs,
-            warmup: cfg.warmup,
-            key_space: cfg.key_space,
-            created_unix: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        };
-        let path = mkbench::resolve_under(dir.as_deref(), path);
-        mkbench::write_json(&path, &meta, &rows).expect("write json");
-        eprintln!("wrote {}", path.display());
-    }
-    if require_coalescing && !(sv.installed_batches > 0 && sv.ops_per_batch() > 1.0) {
-        eprintln!(
-            "mkbench client: coalescing NOT provably active (installed_batches {}, ops/batch {:.2})",
-            sv.installed_batches,
-            sv.ops_per_batch()
-        );
-        std::process::exit(1);
-    }
-}
-
 /// §4.3 headline: large random batches, Jiffy vs the lock-based CA trees.
 fn cmd_speedup(args: &Args) {
     let threads = *args.threads.iter().max().unwrap();
@@ -1058,7 +917,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         eprintln!(
-            "usage: mkbench <figure N|quick|compare OLD NEW|sharding|reshard|speedup|autoscale|ablation WHICH|trace|client> [flags]"
+            "usage: mkbench <figure N|quick|compare OLD NEW|sharding|reshard|speedup|autoscale|ablation WHICH|trace> [flags]"
         );
         eprintln!("flags: --threads 1,2,4  --secs S  --warmup S  --keys K  --indices a,b,c");
         eprintln!("       --shards N (default for sharded-* indices named without :<n>)");
@@ -1066,7 +925,6 @@ fn main() {
         eprintln!(
             "       --dir ARTIFACTS (root for relative --out/--json; created, must be writable)"
         );
-        eprintln!("       --conns N  --pipeline D  --churn  --require-coalescing  --durability none|batch|fsync (client)");
         std::process::exit(2);
     };
     match cmd.as_str() {
@@ -1088,9 +946,6 @@ fn main() {
         }
         "compare" => {
             cmd_compare(&argv[1..]);
-        }
-        "client" => {
-            cmd_client(&argv[1..]);
         }
         "figure" => {
             let n: u8 = argv

@@ -58,35 +58,6 @@ impl OpCosts {
     }
 }
 
-/// Server-side counters captured across a `mkbench client` measurement
-/// window: the delta of the jiffy-server coalescing counters between
-/// window open and close. `installed_batches`/`coalesced_puts` prove the
-/// ingress coalescing actually converted pipelined single-key puts into
-/// Jiffy batches (mean ops per installed batch > 1 under load). Additive
-/// v2 column like `op_costs`; the compare gate ignores it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Coalesced multi-put batches installed via `batch_update`.
-    pub installed_batches: u64,
-    /// Single-key puts that rode in those batches.
-    pub coalesced_puts: u64,
-    /// Operations executed directly (lone puts, gets, removes, scans).
-    pub direct_ops: u64,
-    /// Client-submitted multi-key transactions.
-    pub txns: u64,
-}
-
-impl ServerCounters {
-    /// Mean client puts per installed batch (0.0 when none installed).
-    pub fn ops_per_batch(&self) -> f64 {
-        if self.installed_batches == 0 {
-            0.0
-        } else {
-            self.coalesced_puts as f64 / self.installed_batches as f64
-        }
-    }
-}
-
 /// Throughput of one run, in millions of basic ops per second, plus the
 /// v2 fields: effective mix and per-role latency percentiles.
 #[derive(Clone, Copy, Debug, Default)]
@@ -116,9 +87,6 @@ pub struct Measurement {
     /// only when the run emitted any events. Additive like `op_costs`;
     /// the compare gate ignores it.
     pub trace_events: Option<[u64; jiffy_obs::KIND_COUNT]>,
-    /// Server-side coalescing counters, present only on rows produced by
-    /// the `client` end-to-end driver (additive; gate-ignored).
-    pub server: Option<ServerCounters>,
 }
 
 /// One output row.
@@ -297,18 +265,6 @@ pub fn render_json(meta: &RunMeta, rows: &[Row]) -> String {
                 .map(|(name, n)| format!("\"{name}\": {n}"))
                 .collect();
             let _ = write!(out, ", \"trace_events\": {{ {} }}", named.join(", "));
-        }
-        if let Some(sv) = &r.m.server {
-            let _ = write!(
-                out,
-                ", \"server\": {{ \"installed_batches\": {}, \"coalesced_puts\": {}, \
-                 \"direct_ops\": {}, \"txns\": {}, \"ops_per_batch\": {:.3} }}",
-                sv.installed_batches,
-                sv.coalesced_puts,
-                sv.direct_ops,
-                sv.txns,
-                sv.ops_per_batch()
-            );
         }
         let _ = writeln!(out, " }}{comma}");
     }

@@ -392,8 +392,6 @@ pub fn run_scenario<K: BenchKey, V: Value>(
         // Window-scoped flight-recorder event counts. All-zero (e.g. a
         // baseline index that never emits events) omits the column.
         trace_events: trace_events.iter().any(|&n| n > 0).then_some(trace_events),
-        // Only the networked `client` driver has a server to report on.
-        server: None,
     }
 }
 
