@@ -49,6 +49,11 @@ pub(crate) const LABEL: &str = "elastic-jiffy";
 /// the staged set once the ticket commits (the staged handles reference
 /// the descriptors that reference this resolver — the other half of the
 /// cycle). After commit the retained closure is small and acyclic.
+///
+/// A stale helper — one whose clone of the staged set predates the
+/// commit — can only cause no-ops: `install_prepared` is `help_batch`,
+/// which validates the descriptor after each head read it installs
+/// against, and `commit_pending` is first-writer-wins on the cell.
 fn two_phase_resolver<K: MapKey, V: MapValue>(
     shards: Weak<[Shard<K, V>]>,
     ticket: Arc<TwoPhaseTicket>,

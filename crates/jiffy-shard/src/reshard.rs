@@ -595,7 +595,11 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
 
     /// Help the observed pending migration to completion: quiesce
     /// in-flight writes, drain the delta once, commit the cutover CAS.
-    /// Safe to race with any number of other helpers.
+    /// Safe to race with any number of other helpers, stale ones
+    /// included: the drain latch is tested under its own mutex, not
+    /// before it, and the commit CAS expects the exact epoch pointer
+    /// observed (pinned, so not reusable) — neither step acts on a
+    /// shared read made before its validation.
     fn help(
         &self,
         observed: Shared<'_, RouterEpoch<K, V>>,

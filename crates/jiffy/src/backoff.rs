@@ -1,4 +1,5 @@
-//! Bounded exponential backoff for the helping loops.
+//! Bounded exponential backoff for the helping loops (and their
+//! debug-build livelock [`Tripwire`]).
 //!
 //! Jiffy's helping protocol (§3.3.3) makes every thread that encounters
 //! a pending revision drive the owning operation to completion. Under
@@ -67,6 +68,36 @@ impl HelpBackoff {
             std::hint::spin_loop();
         }
         true
+    }
+}
+
+/// Debug-build livelock tripwire for the helping loops. They are
+/// lock-free by argument, not by construction, so a broken argument
+/// shows up as a loop that never exits; after 30 M iterations a debug
+/// build dumps the flight recorder and panics by name instead. Release
+/// builds compile [`tick`](Tripwire::tick) to nothing.
+pub(crate) struct Tripwire {
+    what: &'static str,
+    spins: u64,
+}
+
+impl Tripwire {
+    #[inline]
+    pub(crate) fn new(what: &'static str) -> Self {
+        Tripwire { what, spins: 0 }
+    }
+
+    /// Count one loop iteration; `detail` is evaluated only for the
+    /// panic message.
+    #[inline]
+    pub(crate) fn tick(&mut self, detail: impl FnOnce() -> String) {
+        if cfg!(debug_assertions) {
+            self.spins += 1;
+            if self.spins > 30_000_000 {
+                jiffy_obs::dump_on_failure(&format!("{} livelock tripwire", self.what), 64);
+                panic!("{} livelock {}", self.what, detail());
+            }
+        }
     }
 }
 

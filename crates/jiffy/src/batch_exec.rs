@@ -16,20 +16,29 @@
 //! * therefore, if a helper finds the batch's own pending revision at the
 //!   node covering the current key, that group is already installed and
 //!   the helper only needs to advance `progress`;
+//! * and if it finds any *other* head, it validates the descriptor
+//!   *after* that read — still pending, `progress` still at the group it
+//!   set out to install — before building on it: `progress` was read
+//!   before the descent, and a batch that finalized in between leaves a
+//!   finalized head that looks like any other (a second install of the
+//!   group; if it splits, its right half is never published — ROADMAP
+//!   F1). Pending after the head read means the group was not in place
+//!   when the head was read, and the head CAS catches the rest;
 //! * removes of absent keys still produce a revision (item 5) — skipping
 //!   them could lose a remove against a concurrent batch that finishes
 //!   with a lower final version.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Owned};
+use crossbeam_epoch as epoch;
 use jiffy_clock::VersionClock;
 
 use crate::autoscale::{self, UpdateKind};
+use crate::backoff::Tripwire;
 use crate::batch::BatchDescriptor;
 use crate::inner::{JiffyInner, MapKey, MapValue};
-use crate::node::{NodeKey, RevKind, RevStats, Revision, TermInfo, TermOp};
+use crate::locate::{ForBatch, Helping, Seek};
+use crate::node::{NodeKey, RevKind, Revision, TermOp};
 use crate::version::{finalize_cell, VersionRef};
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
@@ -74,25 +83,18 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// garbage backlog grow without bound.
     pub(crate) fn help_batch(&self, desc: &Arc<BatchDescriptor<K, V>>) {
         let with_index = !self.config.disable_hash_index;
-        let mut backoff = crate::backoff::HelpBackoff::new();
-        #[cfg(debug_assertions)]
-        let mut spins = 0u64;
+        let mut tripwire = Tripwire::new("help_batch");
         loop {
             perf_count!(help_iterations);
-            #[cfg(debug_assertions)]
-            {
-                spins += 1;
-                if spins > 30_000_000 {
-                    jiffy_obs::dump_on_failure("help_batch livelock tripwire", 64);
-                    panic!(
-                        "help_batch livelock: progress {}/{} two_phase={} finalized={}",
-                        desc.progress(),
-                        desc.len(),
-                        desc.is_two_phase(),
-                        desc.is_finalized()
-                    );
-                }
-            }
+            tripwire.tick(|| {
+                format!(
+                    "progress {}/{} two_phase={} finalized={}",
+                    desc.progress(),
+                    desc.len(),
+                    desc.is_two_phase(),
+                    desc.is_finalized()
+                )
+            });
             if desc.is_finalized() {
                 return;
             }
@@ -112,176 +114,76 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 finalize_cell(&self.clock, desc.version_cell());
                 return;
             }
-            let key = desc.ops()[i].key();
-            let node_s = self.find_node_for_key(key, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { node_s.deref() };
-            let next_snapshot = node.next.load(Ordering::Acquire, guard);
-            let head_s = node.head.load(Ordering::Acquire, guard);
-            if node.is_terminated() {
+            let helps = ForBatch(desc);
+            let loc = self.locate(Seek::Key(desc.ops()[i].key()), &helps, guard);
+            // Validate the descriptor *after* the head read the group will
+            // CAS against. `i` was read before the descent: the batch may
+            // have installed group `i` and finalized since, and what sits
+            // on the node now — its own finalized revision, or a later
+            // writer's — looks like any quiet head; building group `i` on
+            // it would install the group a second time. Still pending and
+            // still at `i` here, and the head not ours, means group `i`
+            // was not in place when the head was read (a node hosting it
+            // is frozen until the batch finalizes, so the head would have
+            // been ours), and the head CAS catches everything later.
+            if desc.is_finalized() || desc.progress() != i {
                 continue;
             }
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { head_s.deref() };
-            if head.is_merge_terminator() {
-                let theirs = head.batch_descriptor().map(|d| !Arc::ptr_eq(d, desc)).unwrap_or(true);
-                if theirs {
-                    // Another operation's merge: its owner publishes
-                    // progress by installing the merge revision. Wait it
-                    // out briefly before joining the CAS storm.
-                    let installed = head
-                        .as_terminator()
-                        .map(|t| !t.merge_rev.load(Ordering::Acquire, guard).is_null())
-                        .unwrap_or(false);
-                    if backoff.should_wait(head_s.as_raw() as usize, installed as usize) {
-                        perf_count!(backoff_waits);
-                        continue;
-                    }
+            let (node, head) = (loc.node(), loc.head());
+            if helps.is_own(head) {
+                // This batch's own revision: the group is already installed
+                // here. Finish any structure change it drove, then advance
+                // progress. Told by the descriptor pointer, not by
+                // `is_pending()` — that is a second read of the version,
+                // and the batch can finalize between the two.
+                match &head.kind {
+                    RevKind::LeftSplit(_) => self.help_split(loc.node_s(), loc.head_s(), guard),
+                    RevKind::Merge(_) => self.complete_merge(loc.head_s(), guard),
+                    _ => {}
                 }
-                self.help_merge_terminator(node_s, head_s, guard);
+                let (start, end) = head.batch_span;
+                debug_assert!(start <= i && i < end.max(start + 1));
+                if end > i {
+                    let _ = desc.advance(i, end);
+                }
                 continue;
-            }
-            if head.is_pending() {
-                let ours = head.batch_descriptor().map(|d| Arc::ptr_eq(d, desc)).unwrap_or(false);
-                if ours {
-                    // This group is already installed here. Finish any
-                    // structure change it drove, then advance progress.
-                    match &head.kind {
-                        RevKind::LeftSplit(_) => self.help_split(node_s, head_s, guard),
-                        RevKind::Merge(_) => self.complete_merge(head_s, guard),
-                        _ => {}
-                    }
-                    let (start, end) = head.batch_span;
-                    debug_assert!(start <= i && i < end.max(start + 1));
-                    if end > i {
-                        let _ = desc.advance(i, end);
-                    }
-                    continue;
-                }
-                // A *different* batch (or single update) owns this node.
-                // Its installing thread publishes progress through the
-                // descriptor's `progress` counter; spin-wait on that
-                // hint before duplicating its group installations — the
-                // §3.3.3 all-shard contention regression is exactly N
-                // helpers re-doing the same work. Bounded: a genuinely
-                // stalled owner is still helped (lock-freedom).
-                let hint = match head.batch_descriptor() {
-                    Some(d) => d.progress().wrapping_add(1),
-                    None => 0,
-                };
-                if backoff.should_wait(head_s.as_raw() as usize, hint) {
-                    perf_count!(backoff_waits);
-                    continue;
-                }
-                self.help_pending_update(node_s, head_s, guard);
-                continue;
-            }
-            if node.next.load(Ordering::Acquire, guard) != next_snapshot {
-                continue;
-            }
-            // SAFETY: if non-null, the pointee is kept alive by the
-            // enclosing pin guard (EBR).
-            if let Some(succ) = unsafe { next_snapshot.as_ref() } {
-                if succ.key.le(key) {
-                    // Stale floor: a split moved this op's key to a new
-                    // right node after the traversal read `next`;
-                    // installing the group here would plant ops beyond
-                    // the node's boundary (the same `key < next.key`
-                    // re-check as the single-key paths).
-                    continue;
-                }
             }
 
             // Install this group.
             let j = desc.group_end(i, &node.key);
             debug_assert!(j > i, "the located node must cover the current key");
-            let deltas = desc.group_deltas(i, j);
-            let new_data = head.data.apply_deltas(&deltas, with_index);
+            let new_data = head.data.apply_deltas(&desc.group_deltas(i, j), with_index);
             let len_after = new_data.len();
-            let now = self.now_secs();
-            let stats = autoscale::fold_update(head.stats.load(), head.stats.update_gap(now));
+            let stats = head.stats.after_update(self.now_secs());
             let can_merge = node.key != NodeKey::NegInf;
-            let kind = autoscale::decide(&self.config, &head.stats, len_after, can_merge);
             let len_delta = len_after as isize - head.data.len() as isize;
-            match kind {
+            let version = || VersionRef::Batch(desc.clone());
+            match autoscale::decide(&self.config, &head.stats, len_after, can_merge) {
                 UpdateKind::Split if len_after >= 2 => {
-                    match self.install_split(
-                        node_s,
-                        head_s,
-                        new_data,
-                        0, // version comes from the descriptor
-                        Some(desc.clone()),
-                        (i, j),
-                        stats,
-                        now,
-                        guard,
-                    ) {
-                        Some(lsr_s) => {
-                            self.add_len(len_delta);
-                            self.help_split(node_s, lsr_s, guard);
-                            let _ = desc.advance(i, j);
-                            self.perform_gc(node_s, guard);
-                        }
-                        None => continue,
+                    if self.install_split(&loc, new_data, version, (i, j), guard).is_none() {
+                        continue;
                     }
                 }
                 UpdateKind::Merge => {
-                    let mterm = Owned::new(Revision {
-                        vref: VersionRef::Batch(desc.clone()),
-                        data: crate::revision::RevData::empty(),
-                        next: crossbeam_epoch::Atomic::null(),
-                        kind: RevKind::MergeTerminator(TermInfo {
-                            op: TermOp::Batch { group_start: i, _marker: std::marker::PhantomData },
-                            merge_rev: crossbeam_epoch::Atomic::null(),
-                            cleanup_claimed: AtomicBool::new(false),
-                        }),
-                        stats: RevStats::new(stats.0, stats.1, now),
-                        batch_span: (i, i),
-                    });
-                    mterm.next.store(head_s, Ordering::Relaxed);
-                    match node.head.compare_exchange(
-                        head_s,
-                        mterm,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(mterm_s) => {
-                            // The merge folds in the predecessor's group
-                            // and advances progress itself.
-                            let _ = self.help_merge_terminator(node_s, mterm_s, guard);
-                        }
-                        Err(e) => drop(e.new),
+                    let op = TermOp::Batch { group_start: i, _marker: std::marker::PhantomData };
+                    let mterm = Revision::merge_terminator(version(), op, stats, (i, i));
+                    if let Some(mterm_s) = node.push_head(loc.head_s(), mterm, guard) {
+                        // The merge folds in the predecessor's group and
+                        // advances progress itself.
+                        let _ = self.help_merge_terminator(loc.node_s(), mterm_s, guard);
                     }
+                    continue;
                 }
                 _ => {
-                    let rev = Owned::new(Revision {
-                        vref: VersionRef::Batch(desc.clone()),
-                        data: new_data,
-                        next: crossbeam_epoch::Atomic::null(),
-                        kind: RevKind::Regular,
-                        stats: RevStats::new(stats.0, stats.1, now),
-                        batch_span: (i, j),
-                    });
-                    rev.next.store(head_s, Ordering::Relaxed);
-                    match node.head.compare_exchange(
-                        head_s,
-                        rev,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(_) => {
-                            self.add_len(len_delta);
-                            let _ = desc.advance(i, j);
-                            self.perform_gc(node_s, guard);
-                        }
-                        Err(e) => drop(e.new),
+                    let rev = Revision::regular(version(), new_data, stats, (i, j));
+                    if node.push_head(loc.head_s(), rev, guard).is_none() {
+                        continue;
                     }
                 }
             }
+            self.add_len(len_delta);
+            let _ = desc.advance(i, j);
+            self.perform_gc(loc.node_s(), guard);
         }
     }
 }

@@ -82,6 +82,7 @@ mod gc;
 mod inner;
 mod iter;
 mod list;
+mod locate;
 mod map;
 mod merge;
 mod node;

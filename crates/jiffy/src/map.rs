@@ -380,72 +380,6 @@ impl<'a, K: MapKey, V: MapValue, C: VersionClock> Drop for Snapshot<'a, K, V, C>
     }
 }
 
-impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
-    /// Scan from the beginning of the key space (snapshot `len()` /
-    /// iteration support; there is no "-inf" key to pass to `scan_at`).
-    pub(crate) fn scan_min(&self, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
-        // The base node's range starts at -inf: resolve it directly, then
-        // continue with the ordinary keyed scan from the successor's key.
-        let guard = &crossbeam_epoch::pin();
-        let resume_at: Option<K>;
-        let mut stopped = false;
-        loop {
-            let base_s = self.base_node(guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let base = unsafe { base_s.deref() };
-            let next_snapshot = base.next.load(Ordering::Acquire, guard);
-            let head_s = base.head.load(Ordering::Acquire, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            if !next_snapshot.is_null() && unsafe { next_snapshot.deref() }.is_temp_split() {
-                self.help_temp_split_node(base_s, next_snapshot, guard);
-                continue;
-            }
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { head_s.deref() };
-            if head.is_merge_terminator() {
-                self.help_merge_terminator(base_s, head_s, guard);
-                continue;
-            }
-            if base.next.load(Ordering::Acquire, guard) != next_snapshot {
-                continue;
-            }
-            let upper: Option<K> = if next_snapshot.is_null() {
-                None
-            } else {
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                unsafe { next_snapshot.deref() }.key.as_key().cloned()
-            };
-            self.resolve_window(
-                base_s,
-                head_s,
-                snap,
-                None,
-                upper.as_ref(),
-                &mut |k, v| {
-                    let cont = sink(k, v);
-                    if !cont {
-                        stopped = true;
-                    }
-                    cont
-                },
-                guard,
-            );
-            resume_at = upper;
-            break;
-        }
-        if stopped {
-            return;
-        }
-        if let Some(k) = resume_at {
-            self.scan_at(&k, snap, sink);
-        }
-    }
-}
-
 // SAFETY: `Snapshot` only reads; the map reference and slot are Sync.
 unsafe impl<'a, K: MapKey, V: MapValue, C: VersionClock> Send for Snapshot<'a, K, V, C> {}
 unsafe impl<'a, K: MapKey, V: MapValue, C: VersionClock> Sync for Snapshot<'a, K, V, C> {}

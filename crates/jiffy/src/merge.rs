@@ -22,11 +22,12 @@
 
 use std::sync::atomic::Ordering;
 
-use crossbeam_epoch::{Guard, Owned, Shared};
+use crossbeam_epoch::{Guard, Shared};
 use jiffy_clock::VersionClock;
 
+use crate::backoff::Tripwire;
 use crate::inner::{JiffyInner, MapKey, MapValue};
-use crate::node::{MergeInfo, Node, RevKind, RevStats, Revision, TermOp};
+use crate::node::{MergeInfo, Node, RevKind, Revision, TermOp};
 use crate::version::{finalize_cell, VersionRef};
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
@@ -47,29 +48,23 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         let ti = mterm.as_terminator().expect("help_merge_terminator takes a terminator");
 
         // Phase 1: ensure a merge revision is installed and adopted.
-        let mut mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
-        #[cfg(debug_assertions)]
-        let mut spins = 0u64;
-        while mr_s.is_null() {
-            #[cfg(debug_assertions)]
-            {
-                spins += 1;
-                if spins > 30_000_000 {
-                    jiffy_obs::dump_on_failure("help_merge_terminator livelock tripwire", 64);
-                    panic!("help_merge_terminator livelock: mterm_ver={}", mterm.version());
-                }
+        // Every `continue` below re-reads `merge_rev` here.
+        let mut tripwire = Tripwire::new("help_merge_terminator");
+        let mr_s = loop {
+            let mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
+            if !mr_s.is_null() {
+                break mr_s;
             }
+            tripwire.tick(|| format!("mterm_ver={}", mterm.version()));
             let Some(pred_s) = self.find_pred(o_s, guard) else {
                 // `o` unreachable pre-adoption can only mean another
-                // helper raced ahead; re-read and retry.
-                mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
+                // helper raced ahead.
                 continue;
             };
             // SAFETY: non-null and reached under the enclosing pin guard;
             // EBR defers reclamation of epoch-reachable nodes until unpin.
             let pred = unsafe { pred_s.deref() };
             if pred.is_terminated() {
-                mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
                 continue;
             }
             // The historical phase-1 race window: a helper preempted
@@ -95,7 +90,6 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             // branch twice. Because adoption happens-before any such
             // head growth, re-checking `merge_rev` here excludes it.
             if !ti.merge_rev.load(Ordering::Acquire, guard).is_null() {
-                mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
                 continue;
             }
             // SAFETY: non-null and reached under the enclosing pin guard;
@@ -124,25 +118,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     // visible.
                     if !pmi.completed.load(Ordering::Acquire) {
                         // Ours, installer stalled before adopting: adopt.
-                        if ti
-                            .merge_rev
-                            .compare_exchange(
-                                Shared::null(),
-                                phead_s,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                                guard,
-                            )
-                            .is_ok()
-                        {
-                            jiffy_obs::trace_event!(
-                                MergeAdopt,
-                                mterm.version().unsigned_abs(),
-                                phead_s.as_raw() as usize,
-                                mterm_s.as_raw() as usize
-                            );
-                        }
-                        mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
+                        Self::adopt(mterm_s, phead_s, guard);
                         continue;
                     }
                     // Completed + matching `mterm`: either our merge raced
@@ -152,8 +128,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     // fall through and treat `phead` as what it is, a
                     // legitimate finalized head to build a fresh merge
                     // revision from).
-                    mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
-                    if !mr_s.is_null() {
+                    if !ti.merge_rev.load(Ordering::Acquire, guard).is_null() {
                         continue;
                     }
                 }
@@ -162,12 +137,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 // The predecessor is itself being merged away: complete
                 // that merge first (cascade towards lower keys).
                 self.help_merge_terminator(pred_s, phead_s, guard);
-                mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
                 continue;
             }
             if phead.is_pending() {
                 self.help_pending_update(pred_s, phead_s, guard);
-                mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
                 continue;
             }
 
@@ -192,6 +165,12 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     (combined, VersionRef::Shared(cell), 0, (0, 0))
                 }
                 TermOp::Batch { group_start, .. } => {
+                    // No `is_finalized()` re-check needed here (the F1
+                    // shape): the descriptor finalizes only after this
+                    // group's advance, which follows adoption, and
+                    // `merge_rev` was re-read null *after* `phead` — so
+                    // the batch was pending when `phead` was read and the
+                    // head CAS below catches everything later.
                     let desc = mterm
                         .batch_descriptor()
                         .expect("batch terminators carry the descriptor")
@@ -210,10 +189,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 }
             };
 
-            let now = self.now_secs();
-            let (pl, pu) =
-                crate::autoscale::fold_update(phead.stats.load(), phead.stats.update_gap(now));
-            let mr = Owned::new(Revision {
+            let mr = Revision {
                 vref,
                 data,
                 next: crossbeam_epoch::Atomic::null(),
@@ -225,58 +201,30 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     completed: std::sync::atomic::AtomicBool::new(false),
                     coverage_end,
                 }),
-                stats: RevStats::new(pl, pu, now),
+                stats: phead.stats.after_update(self.now_secs()),
                 batch_span: span,
-            });
-            mr.next.store(phead_s, Ordering::Relaxed);
+            };
             if let RevKind::Merge(mi) = &mr.kind {
                 mi.right_node.store(o_s, Ordering::Relaxed);
                 mi.right_next.store(right_head_s, Ordering::Relaxed);
                 mi.mterm.store(mterm_s, Ordering::Relaxed);
             }
-            match pred.head.compare_exchange(
-                phead_s,
-                mr,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                guard,
-            ) {
-                Ok(published) => {
-                    jiffy_obs::trace_event!(
-                        MergeBuild,
-                        mterm.version().unsigned_abs(),
-                        published.as_raw() as usize,
-                        mterm_s.as_raw() as usize
-                    );
-                    if ti
-                        .merge_rev
-                        .compare_exchange(
-                            Shared::null(),
-                            published,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                            guard,
-                        )
-                        .is_ok()
-                    {
-                        jiffy_obs::trace_event!(
-                            MergeAdopt,
-                            mterm.version().unsigned_abs(),
-                            published.as_raw() as usize,
-                            mterm_s.as_raw() as usize
-                        );
-                    }
-                    // Entry accounting: union minus both sources.
-                    // SAFETY: non-null and reached under the enclosing pin guard;
-                    // EBR defers reclamation of epoch-reachable nodes until unpin.
-                    let delta = unsafe { published.deref() }.data.len() as isize
-                        - (phead.data.len() + right_head.data.len()) as isize;
-                    self.add_len(delta);
-                }
-                Err(e) => drop(e.new),
+            if let Some(published) = pred.push_head(phead_s, mr, guard) {
+                jiffy_obs::trace_event!(
+                    MergeBuild,
+                    mterm.version().unsigned_abs(),
+                    published.as_raw() as usize,
+                    mterm_s.as_raw() as usize
+                );
+                Self::adopt(mterm_s, published, guard);
+                // Entry accounting: union minus both sources.
+                // SAFETY: non-null and reached under the enclosing pin guard;
+                // EBR defers reclamation of epoch-reachable nodes until unpin.
+                let delta = unsafe { published.deref() }.data.len() as isize
+                    - (phead.data.len() + right_head.data.len()) as isize;
+                self.add_len(delta);
             }
-            mr_s = ti.merge_rev.load(Ordering::Acquire, guard);
-        }
+        };
 
         // Phase 2.
         self.complete_merge(mr_s, guard);
@@ -311,20 +259,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let mterm = unsafe { mterm_s.deref() };
         let ti = mterm.as_terminator().expect("merge revision references its terminator");
-        // Adopt (no-op if already adopted; a different adopted revision is
-        // impossible because installation is serialized on pred.head).
-        if ti
-            .merge_rev
-            .compare_exchange(Shared::null(), mr_s, Ordering::AcqRel, Ordering::Acquire, guard)
-            .is_ok()
-        {
-            jiffy_obs::trace_event!(
-                MergeAdopt,
-                mterm.version().unsigned_abs(),
-                mr_s.as_raw() as usize,
-                mterm_s.as_raw() as usize
-            );
-        }
+        // A different adopted revision is impossible because installation
+        // is serialized on pred.head.
+        Self::adopt(mterm_s, mr_s, guard);
         debug_assert_eq!(ti.merge_rev.load(Ordering::Acquire, guard), mr_s);
 
         let o_s = mi.right_node.load(Ordering::Acquire, guard);
@@ -335,17 +272,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         self.unlink_tower(o_s, guard);
         // Unlink from level 0: find_pred unlinks terminated targets as it
         // walks; loop until `o` is unreachable.
-        #[cfg(debug_assertions)]
-        let mut spins = 0u64;
+        let mut tripwire = Tripwire::new("complete_merge unlink");
         while self.find_pred(o_s, guard).is_some() {
-            #[cfg(debug_assertions)]
-            {
-                spins += 1;
-                if spins > 30_000_000 {
-                    jiffy_obs::dump_on_failure("complete_merge unlink livelock tripwire", 64);
-                    panic!("complete_merge unlink livelock");
-                }
-            }
+            tripwire.tick(String::new);
             std::hint::spin_loop();
         }
 
@@ -354,6 +283,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // advancing the descriptor's progress past this group.
         match &mr.vref {
             VersionRef::Batch(desc) => {
+                // Safe from a stale helper without re-validating: the
+                // advance is a CAS from exactly this group's start, and a
+                // descriptor that moved on (or finalized) is past it.
                 let _ = desc.advance(mr.batch_span.0, mi.coverage_end);
             }
             _ => {
@@ -387,6 +319,32 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 guard.defer_destroy(o_s);
                 guard.defer_destroy(mterm_s);
             }
+        }
+    }
+
+    /// Step 4: CAS the installed merge revision `mr_s` into its
+    /// terminator's write-once `merge_rev` (a no-op if one is adopted
+    /// already), which is what makes the merge idempotent for helpers.
+    fn adopt<'g>(
+        mterm_s: Shared<'g, Revision<K, V>>,
+        mr_s: Shared<'g, Revision<K, V>>,
+        guard: &'g Guard,
+    ) {
+        // SAFETY: non-null and reached under the enclosing pin guard;
+        // EBR defers reclamation of epoch-reachable nodes until unpin.
+        let mterm = unsafe { mterm_s.deref() };
+        let ti = mterm.as_terminator().expect("adoption targets a terminator");
+        if ti
+            .merge_rev
+            .compare_exchange(Shared::null(), mr_s, Ordering::AcqRel, Ordering::Acquire, guard)
+            .is_ok()
+        {
+            jiffy_obs::trace_event!(
+                MergeAdopt,
+                mterm.version().unsigned_abs(),
+                mr_s.as_raw() as usize,
+                mterm_s.as_raw() as usize
+            );
         }
     }
 

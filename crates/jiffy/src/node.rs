@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use crossbeam_epoch::Atomic;
+use crossbeam_epoch::{Atomic, Guard, Owned, Shared};
 
 use crate::batch::BatchDescriptor;
 use crate::revision::RevData;
@@ -115,6 +115,14 @@ impl RevStats {
     #[inline]
     pub(crate) fn update_gap(&self, now: f32) -> f32 {
         now - self.created_at
+    }
+
+    /// The statistics of a revision an update stacks on this one at
+    /// `now`: the update-side fold (§3.3.6), weighted by this revision's
+    /// age.
+    pub(crate) fn after_update(&self, now: f32) -> RevStats {
+        let (p, u) = crate::autoscale::fold_update(self.load(), self.update_gap(now));
+        RevStats::new(p, u, now)
     }
 
     /// Seconds since the last read fold (read-side weight); also bumps
@@ -225,14 +233,39 @@ pub(crate) struct Revision<K, V> {
 }
 
 impl<K, V> Revision<K, V> {
-    pub(crate) fn new_regular(data: RevData<K, V>, version: i64, stats: RevStats) -> Self {
+    /// A data-carrying revision, not yet linked into a list
+    /// ([`Node::push_head`] sets `next`).
+    /// `batch_span` is `(0, 0)` outside batches.
+    pub(crate) fn regular(
+        vref: VersionRef<K, V>,
+        data: RevData<K, V>,
+        stats: RevStats,
+        batch_span: (usize, usize),
+    ) -> Self {
+        Revision { vref, next: Atomic::null(), kind: RevKind::Regular, data, batch_span, stats }
+    }
+
+    /// A merge terminator carrying `op` into the merge (Fig. 4b), not
+    /// yet linked; `vref` is the version the merge revision will share.
+    pub(crate) fn merge_terminator(
+        vref: VersionRef<K, V>,
+        op: TermOp<K, V>,
+        stats: RevStats,
+        batch_span: (usize, usize),
+    ) -> Self
+    where
+        K: Ord + Clone + std::hash::Hash,
+        V: Clone,
+    {
+        let info =
+            TermInfo { op, merge_rev: Atomic::null(), cleanup_claimed: AtomicBool::new(false) };
         Revision {
-            vref: VersionRef::Inline(VersionCell::with_value(version)),
-            data,
+            vref,
             next: Atomic::null(),
-            kind: RevKind::Regular,
+            kind: RevKind::MergeTerminator(info),
+            data: RevData::empty(),
+            batch_span,
             stats,
-            batch_span: (0, 0),
         }
     }
 
@@ -243,7 +276,12 @@ impl<K, V> Revision<K, V> {
         K: Ord + Clone + std::hash::Hash,
         V: Clone,
     {
-        Self::new_regular(RevData::empty(), INITIAL_VERSION, RevStats::new(0.0, 0.0, 0.0))
+        Self::regular(
+            VersionRef::Inline(VersionCell::with_value(INITIAL_VERSION)),
+            RevData::empty(),
+            RevStats::new(0.0, 0.0, 0.0),
+            (0, 0),
+        )
     }
 
     #[inline]
@@ -379,6 +417,32 @@ impl<K, V> Node<K, V> {
     #[inline]
     pub(crate) fn is_terminated(&self) -> bool {
         self.terminated.load(Ordering::Acquire)
+    }
+
+    /// Link `rev` in front of `expected` and CAS it in as this node's
+    /// head — the install step of every update. `None` means the head
+    /// moved since `expected` was read; `rev` is dropped unpublished.
+    pub(crate) fn push_head<'g>(
+        &self,
+        expected: Shared<'g, Revision<K, V>>,
+        rev: Revision<K, V>,
+        guard: &'g Guard,
+    ) -> Option<Shared<'g, Revision<K, V>>> {
+        let born_final = cfg!(debug_assertions) && rev.version() >= 0;
+        let rev = Owned::new(rev);
+        rev.next.store(expected, Ordering::Relaxed);
+        let published = self
+            .head
+            .compare_exchange(expected, rev, Ordering::AcqRel, Ordering::Acquire, guard)
+            .ok()?;
+        // Every operation installs pending and finalizes afterwards, so
+        // a version that was final *before* the CAS belongs to a finished
+        // operation whose revisions are all in place: the head has moved
+        // since the helper read it and the CAS must lose. A win is a
+        // helper re-installing a finished batch group (F1's tell was a
+        // `SplitBuild` event with a non-negative version).
+        debug_assert!(!born_final, "a revision of an already-finalized operation was installed");
+        Some(published)
     }
 
     /// Number of levels above level 0 this node participates in.

@@ -1,115 +1,34 @@
 //! Single-key update operations (paper Algorithm 1) and the generic
 //! helping dispatcher.
+//!
+//! An update is: locate (`locate.rs`, helping whatever is in flight at
+//! the node), build the next revision from the located head, and
+//! [`Node::push_head`] it over exactly that head — a lost CAS starts
+//! over from the locate.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam_epoch::{self as epoch, Guard, Owned, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use jiffy_clock::VersionClock;
 
 use crate::autoscale::{self, UpdateKind};
 use crate::inner::{JiffyInner, MapKey, MapValue};
-use crate::node::{Node, NodeKey, RevKind, RevStats, Revision, SplitInfo, TermInfo, TermOp};
+use crate::locate::{ForUpdate, Neighbourhood, Seek};
+use crate::node::{Node, NodeKey, RevKind, Revision, SplitInfo, TermOp};
 use crate::version::{finalize_cell, optimistic_version, VersionCell, VersionRef};
-
-/// Result of locating the node responsible for a key, with a stable
-/// (finalized, non-terminator) head and a validated successor snapshot.
-pub(crate) struct Located<'g, K, V> {
-    pub(crate) node: Shared<'g, Node<K, V>>,
-    pub(crate) head: Shared<'g, Revision<K, V>>,
-}
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// The checks of Algorithm 1 lines 4-16: find the node for `key`, help
     /// any pending operation/structure change, and return once the head is
     /// finalized and the neighbourhood validated.
-    pub(crate) fn locate_for_update<'g>(&self, key: &K, guard: &'g Guard) -> Located<'g, K, V> {
-        let mut backoff = crate::backoff::HelpBackoff::new();
-        #[cfg(feature = "perf-counters")]
-        let mut iters = 0u64;
-        #[cfg(debug_assertions)]
-        let mut spins = 0u64;
-        loop {
-            #[cfg(feature = "perf-counters")]
-            {
-                iters += 1;
-                if iters > 1 {
-                    crate::counters::bump(|c| c.locate_retries += 1);
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                spins += 1;
-                if spins > 30_000_000 {
-                    jiffy_obs::dump_on_failure("locate_for_update livelock tripwire", 64);
-                    panic!("locate_for_update livelock");
-                }
-            }
-            let node_s = self.find_node_for_key(key, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { node_s.deref() };
-            let next_snapshot = node.next.load(Ordering::Acquire, guard);
-            let head_s = node.head.load(Ordering::Acquire, guard);
-            // Overlap the head revision's miss with the terminated check
-            // (the head is dereferenced a few instructions later).
-            crossbeam_utils::prefetch_read(head_s.as_raw());
-            if node.is_terminated() {
-                continue;
-            }
-            debug_assert!(!head_s.is_null(), "every node has a revision list head");
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { head_s.deref() };
-            if head.is_merge_terminator() {
-                // The merge owner publishes progress by installing the
-                // merge revision; give it a bounded grace period before
-                // duplicating its CASes (ownership hint, see `backoff`).
-                let installed = head
-                    .as_terminator()
-                    .map(|t| !t.merge_rev.load(Ordering::Acquire, guard).is_null())
-                    .unwrap_or(false);
-                if backoff.should_wait(head_s.as_raw() as usize, installed as usize) {
-                    perf_count!(backoff_waits);
-                    continue;
-                }
-                self.help_merge_terminator(node_s, head_s, guard);
-                continue;
-            }
-            if head.is_pending() {
-                // Ownership hint: a batch owner publishes `progress`; a
-                // plain pending revision publishes only its finalization
-                // (which empties this branch). Spin-wait on the signal
-                // before helping — bounded, so a stalled owner is still
-                // helped to completion (lock-freedom).
-                let hint = match head.batch_descriptor() {
-                    Some(d) => d.progress().wrapping_add(1),
-                    None => 0,
-                };
-                if backoff.should_wait(head_s.as_raw() as usize, hint) {
-                    perf_count!(backoff_waits);
-                    continue;
-                }
-                self.help_pending_update(node_s, head_s, guard);
-                continue;
-            }
-            if node.next.load(Ordering::Acquire, guard) != next_snapshot {
-                continue; // a split or merge happened underneath us
-            }
-            // SAFETY: if non-null, the pointee is kept alive by the
-            // enclosing pin guard (EBR).
-            if let Some(succ) = unsafe { next_snapshot.as_ref() } {
-                if succ.key.le(key) {
-                    // The walk's floor view went stale: a split carved
-                    // the key's range out to a new right node after the
-                    // traversal read this node's `next`. Installing here
-                    // would plant the key beyond the node's boundary
-                    // (Algorithm 1's `key < next.key` re-check).
-                    continue;
-                }
-            }
-            return Located { node: node_s, head: head_s };
-        }
+    #[inline]
+    pub(crate) fn locate_for_update<'g>(
+        &self,
+        key: &K,
+        guard: &'g Guard,
+    ) -> Neighbourhood<'g, K, V> {
+        self.locate(Seek::Key(key), &ForUpdate, guard)
     }
 
     /// Complete another thread's in-flight update found at the head of
@@ -126,49 +45,22 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         let rev = unsafe { rev_s.deref() };
         match &rev.kind {
             RevKind::MergeTerminator(_) => {
+                // Finalizes (or advances its batch) through the merge
+                // revision it installs.
                 self.help_merge_terminator(node_s, rev_s, guard);
+                return;
             }
-            RevKind::Merge(_) => {
-                self.complete_merge(rev_s, guard);
-                if let Some(desc) = rev.batch_descriptor() {
-                    let desc = desc.clone();
-                    self.help_batch_fully(&desc);
-                }
+            RevKind::Merge(_) => self.complete_merge(rev_s, guard),
+            RevKind::LeftSplit(_) => self.help_split(node_s, rev_s, guard),
+            // A right split revision's structure is necessarily complete
+            // (this node exists); only the version remains.
+            RevKind::RightSplit(_) | RevKind::Regular => {}
+        }
+        match rev.batch_descriptor() {
+            Some(desc) => self.help_batch_fully(&desc.clone()),
+            None => {
+                finalize_cell(&self.clock, rev.vref.cell());
             }
-            RevKind::LeftSplit(_) => {
-                self.help_split(node_s, rev_s, guard);
-                match rev.batch_descriptor() {
-                    Some(desc) => {
-                        let desc = desc.clone();
-                        self.help_batch_fully(&desc);
-                    }
-                    None => {
-                        finalize_cell(&self.clock, rev.vref.cell());
-                    }
-                }
-            }
-            RevKind::RightSplit(_) => {
-                // Structure is necessarily complete (this node exists);
-                // only the version remains.
-                match rev.batch_descriptor() {
-                    Some(desc) => {
-                        let desc = desc.clone();
-                        self.help_batch_fully(&desc);
-                    }
-                    None => {
-                        finalize_cell(&self.clock, rev.vref.cell());
-                    }
-                }
-            }
-            RevKind::Regular => match rev.batch_descriptor() {
-                Some(desc) => {
-                    let desc = desc.clone();
-                    self.help_batch_fully(&desc);
-                }
-                None => {
-                    finalize_cell(&self.clock, rev.vref.cell());
-                }
-            },
         }
     }
 
@@ -179,72 +71,33 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         let (published_s, node_s, old);
         loop {
             let loc = self.locate_for_update(&key, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { loc.node.deref() };
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { loc.head.deref() };
+            let head = loc.head();
             let prev = head.data.get(&key).cloned();
             let len_after = head.data.len() + usize::from(prev.is_none());
             let opt_ver = optimistic_version(&self.clock);
-            let now = self.now_secs();
-            let stats = autoscale::fold_update(head.stats.load(), head.stats.update_gap(now));
+            let data = head.data.with_put(key.clone(), value.clone(), with_index);
             // A put only grows the revision: it never merges (Alg. 1).
             let kind = autoscale::decide(&self.config, &head.stats, len_after, false);
-            if kind == UpdateKind::Split && len_after >= 2 {
-                let full = head.data.with_put(key.clone(), value.clone(), with_index);
-                match self.install_split(
-                    loc.node,
-                    loc.head,
-                    full,
-                    opt_ver,
-                    None,
-                    (0, 0),
-                    stats,
-                    now,
+            let published = if kind == UpdateKind::Split && len_after >= 2 {
+                let cell = Arc::new(VersionCell::with_value(opt_ver));
+                self.install_split(&loc, data, || VersionRef::Shared(cell.clone()), (0, 0), guard)
+            } else {
+                let vref = VersionRef::Inline(VersionCell::with_value(opt_ver));
+                let stats = head.stats.after_update(self.now_secs());
+                loc.node().push_head(
+                    loc.head_s(),
+                    Revision::regular(vref, data, stats, (0, 0)),
                     guard,
-                ) {
-                    Some(lsr_s) => {
-                        self.help_split(loc.node, lsr_s, guard);
-                        if prev.is_none() {
-                            self.add_len(1);
-                        }
-                        published_s = lsr_s;
-                        node_s = loc.node;
-                        old = prev;
-                        break;
-                    }
-                    None => continue,
+                )
+            };
+            if let Some(published) = published {
+                if prev.is_none() {
+                    self.add_len(1);
                 }
-            }
-            let data = head.data.with_put(key.clone(), value.clone(), with_index);
-            let rev = Owned::new(Revision {
-                vref: VersionRef::Inline(VersionCell::with_value(opt_ver)),
-                data,
-                next: crossbeam_epoch::Atomic::null(),
-                kind: RevKind::Regular,
-                stats: RevStats::new(stats.0, stats.1, now),
-                batch_span: (0, 0),
-            });
-            rev.next.store(loc.head, Ordering::Relaxed);
-            match node.head.compare_exchange(
-                loc.head,
-                rev,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                guard,
-            ) {
-                Ok(published) => {
-                    if prev.is_none() {
-                        self.add_len(1);
-                    }
-                    published_s = published;
-                    node_s = loc.node;
-                    old = prev;
-                    break;
-                }
-                Err(e) => drop(e.new),
+                published_s = published;
+                node_s = loc.node_s();
+                old = prev;
+                break;
             }
         }
         // SAFETY: non-null and reached under the enclosing pin guard;
@@ -264,86 +117,40 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         let (gc_node_s, finalize_rev_s, old);
         loop {
             let loc = self.locate_for_update(key, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { loc.node.deref() };
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { loc.head.deref() };
+            let (node, head) = (loc.node(), loc.head());
             let prev = head.data.get(key).cloned()?;
             let len_after = head.data.len() - 1;
             let opt_ver = optimistic_version(&self.clock);
-            let now = self.now_secs();
-            let stats = autoscale::fold_update(head.stats.load(), head.stats.update_gap(now));
+            let stats = head.stats.after_update(self.now_secs());
             let can_merge = node.key != NodeKey::NegInf;
-            let kind = autoscale::decide(&self.config, &head.stats, len_after, can_merge);
-            match kind {
-                UpdateKind::Merge => {
-                    let cell = Arc::new(VersionCell::with_value(opt_ver));
-                    let mterm = Owned::new(Revision {
-                        vref: VersionRef::Shared(cell),
-                        data: crate::revision::RevData::empty(),
-                        next: crossbeam_epoch::Atomic::null(),
-                        kind: RevKind::MergeTerminator(TermInfo {
-                            op: TermOp::Remove { key: key.clone() },
-                            merge_rev: crossbeam_epoch::Atomic::null(),
-                            cleanup_claimed: AtomicBool::new(false),
-                        }),
-                        stats: RevStats::new(stats.0, stats.1, now),
-                        batch_span: (0, 0),
-                    });
-                    // Non-owning edge to the node's (finalized) history.
-                    mterm.next.store(loc.head, Ordering::Relaxed);
-                    match node.head.compare_exchange(
-                        loc.head,
-                        mterm,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(mterm_s) => {
-                            // Entry accounting happens when the merge
-                            // revision is installed (its content delta
-                            // already reflects this remove).
-                            let mr_s = self.help_merge_terminator(loc.node, mterm_s, guard);
-                            // GC runs at the node that now hosts the data.
-                            gc_node_s = self.find_node_for_key(key, guard);
-                            finalize_rev_s = mr_s;
-                            old = prev;
-                            break;
-                        }
-                        Err(e) => drop(e.new),
-                    }
+            if autoscale::decide(&self.config, &head.stats, len_after, can_merge)
+                == UpdateKind::Merge
+            {
+                let vref = VersionRef::Shared(Arc::new(VersionCell::with_value(opt_ver)));
+                let op = TermOp::Remove { key: key.clone() };
+                let mterm = Revision::merge_terminator(vref, op, stats, (0, 0));
+                if let Some(mterm_s) = node.push_head(loc.head_s(), mterm, guard) {
+                    // Entry accounting happens when the merge revision is
+                    // installed (its content delta already reflects this
+                    // remove).
+                    finalize_rev_s = self.help_merge_terminator(loc.node_s(), mterm_s, guard);
+                    // GC runs at the node that now hosts the data.
+                    gc_node_s = self.find_node_for_key(key, guard);
+                    old = prev;
+                    break;
                 }
-                UpdateKind::Split | UpdateKind::Regular => {
-                    // (A remove can shrink below the split threshold only
-                    // through races; treat Split as Regular.)
-                    let data = head.data.with_remove(key, with_index);
-                    let rev = Owned::new(Revision {
-                        vref: VersionRef::Inline(VersionCell::with_value(opt_ver)),
-                        data,
-                        next: crossbeam_epoch::Atomic::null(),
-                        kind: RevKind::Regular,
-                        stats: RevStats::new(stats.0, stats.1, now),
-                        batch_span: (0, 0),
-                    });
-                    rev.next.store(loc.head, Ordering::Relaxed);
-                    match node.head.compare_exchange(
-                        loc.head,
-                        rev,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(published) => {
-                            self.add_len(-1);
-                            gc_node_s = loc.node;
-                            finalize_rev_s = published;
-                            old = prev;
-                            break;
-                        }
-                        Err(e) => drop(e.new),
-                    }
+            } else {
+                // (A remove can shrink below the split threshold only
+                // through races; treat Split as Regular.)
+                let vref = VersionRef::Inline(VersionCell::with_value(opt_ver));
+                let rev =
+                    Revision::regular(vref, head.data.with_remove(key, with_index), stats, (0, 0));
+                if let Some(published) = node.push_head(loc.head_s(), rev, guard) {
+                    self.add_len(-1);
+                    gc_node_s = loc.node_s();
+                    finalize_rev_s = published;
+                    old = prev;
+                    break;
                 }
             }
         }
@@ -356,83 +163,53 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         Some(old)
     }
 
-    /// Build a split pair from `full` (the post-update entries), install
-    /// the left half as `node`'s head. Returns the published left split
-    /// revision, or `None` if the head CAS lost. `batch` carries the
-    /// descriptor for batch-driven splits.
-    #[allow(clippy::too_many_arguments)]
+    /// Split the located node (Fig. 3): build a split pair from `full`
+    /// (the post-update entries), install the left half over `loc`'s head
+    /// and drive the structure change to completion. `version` yields
+    /// the version the two halves share (a fresh shared cell, or the
+    /// batch descriptor), `span` the batch ops they reflect. Returns the
+    /// published left split revision, or `None` if the head CAS lost.
     pub(crate) fn install_split<'g>(
         &self,
-        node_s: Shared<'g, Node<K, V>>,
-        expected_head: Shared<'g, Revision<K, V>>,
+        loc: &Neighbourhood<'g, K, V>,
         full: crate::revision::RevData<K, V>,
-        opt_ver: i64,
-        batch: Option<Arc<crate::batch::BatchDescriptor<K, V>>>,
+        version: impl Fn() -> VersionRef<K, V>,
         span: (usize, usize),
-        stats: (f32, f32),
-        now: f32,
         guard: &'g Guard,
     ) -> Option<Shared<'g, Revision<K, V>>> {
         debug_assert!(full.len() >= 2);
-        let with_index = !self.config.disable_hash_index;
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        let node = unsafe { node_s.deref() };
-        let (ldata, rdata, split_key) = full.split_halves(with_index);
-        let info = Arc::new(SplitInfo { split_key, right: crossbeam_epoch::Atomic::null() });
-        let (lvref, rvref): (VersionRef<K, V>, VersionRef<K, V>) = match &batch {
-            Some(d) => (VersionRef::Batch(d.clone()), VersionRef::Batch(d.clone())),
-            None => {
-                let cell = Arc::new(VersionCell::with_value(opt_ver));
-                (VersionRef::Shared(cell.clone()), VersionRef::Shared(cell))
-            }
-        };
-        let rsr = Owned::new(Revision {
-            vref: rvref,
-            data: rdata,
-            next: crossbeam_epoch::Atomic::null(),
-            kind: RevKind::RightSplit(info.clone()),
-            stats: RevStats::new(stats.0, stats.1, now),
+        let now = self.now_secs();
+        let (ldata, rdata, split_key) = full.split_halves(!self.config.disable_hash_index);
+        let info = Arc::new(SplitInfo { split_key, right: Atomic::null() });
+        let half = |data, kind| Revision {
+            vref: version(),
+            next: Atomic::null(),
+            kind,
+            data,
             batch_span: span,
-        });
+            stats: loc.head().stats.after_update(now),
+        };
+        let rsr = Owned::new(half(rdata, RevKind::RightSplit(info.clone())));
         // Non-owning duplicate of the pre-split history edge.
-        rsr.next.store(expected_head, Ordering::Relaxed);
+        rsr.next.store(loc.head_s(), Ordering::Relaxed);
         let rsr_s = rsr.into_shared(guard);
         info.right.store(rsr_s, Ordering::Relaxed);
-        let lsr = Owned::new(Revision {
-            vref: lvref,
-            data: ldata,
-            next: crossbeam_epoch::Atomic::null(),
-            kind: RevKind::LeftSplit(info),
-            stats: RevStats::new(stats.0, stats.1, now),
-            batch_span: span,
-        });
-        lsr.next.store(expected_head, Ordering::Relaxed);
-        match node.head.compare_exchange(
-            expected_head,
-            lsr,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-            guard,
-        ) {
-            Ok(published) => {
-                // SAFETY: just published under the enclosing pin guard.
-                let lsr_v = unsafe { published.deref() }.version();
-                jiffy_obs::trace_event!(
-                    SplitBuild,
-                    lsr_v.unsigned_abs(),
-                    published.as_raw() as usize,
-                    node_s.as_raw() as usize
-                );
-                Some(published)
-            }
-            Err(e) => {
-                drop(e.new);
-                // SAFETY: the CAS failed, so `rsr` was never published —
-                // we still own it exclusively; reclaim directly.
-                drop(unsafe { rsr_s.into_owned() });
-                None
-            }
-        }
+        let lsr = half(ldata, RevKind::LeftSplit(info));
+        let Some(lsr_s) = loc.node().push_head(loc.head_s(), lsr, guard) else {
+            // SAFETY: the CAS failed, so `rsr` was never published —
+            // we still own it exclusively; reclaim directly.
+            drop(unsafe { rsr_s.into_owned() });
+            return None;
+        };
+        // SAFETY: just published under the enclosing pin guard.
+        let lsr_v = unsafe { lsr_s.deref() }.version();
+        jiffy_obs::trace_event!(
+            SplitBuild,
+            lsr_v.unsigned_abs(),
+            lsr_s.as_raw() as usize,
+            loc.node_s().as_raw() as usize
+        );
+        self.help_split(loc.node_s(), lsr_s, guard);
+        Some(lsr_s)
     }
 }

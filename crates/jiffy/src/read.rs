@@ -16,14 +16,12 @@
 //! In steady state the head revision of the located node is a
 //! *finalized regular* revision — no pending version to help, no split
 //! or merge branch to resolve. [`get`](JiffyInner::get) and
-//! [`get_at`](JiffyInner::get_at) short-circuit that case with a
-//! straight-line check sequence (head finalized+regular → snapshot
-//! bound → coverage) and answer directly from the head's entry array,
-//! skipping the generic locate loop's branch dispatch and the branchy
-//! chain walk. The check sequence brackets the head read between two
-//! reads of the node's successor exactly like the generic loop does
-//! (unchanged `next`, still covering the key), so it gives the same
-//! guarantee — it just never loops.
+//! [`get_at`](JiffyInner::get_at) short-circuit that case: one call of
+//! the neighbourhood read the locate loop retries
+//! ([`neighbourhood`](JiffyInner::neighbourhood) — the same function,
+//! so the same coverage guarantee), then head finalized+regular →
+//! snapshot bound, and the answer comes directly from the head's entry
+//! array, skipping the loop's help dispatch and the branchy chain walk.
 //! Anything unusual (pending head, merge terminator, split/merge
 //! revision, terminated node, stale coverage) bails to the slow path —
 //! the fast path never helps and never retries. Setting the
@@ -39,12 +37,9 @@ use crossbeam_utils::prefetch_read;
 use jiffy_clock::VersionClock;
 
 use crate::autoscale::fold_read;
-use crate::backoff::HelpBackoff;
 use crate::inner::{JiffyInner, MapKey, MapValue};
-use crate::node::{Node, RevKind, Revision};
-
-/// A node plus its head revision, as located for a read.
-pub(crate) type NodeAndHead<'g, K, V> = (Shared<'g, Node<K, V>>, Shared<'g, Revision<K, V>>);
+use crate::locate::{ForRead, Neighbourhood, Seek};
+use crate::node::{RevKind, Revision};
 
 /// Whether the flat point-get fast path is enabled (default: yes;
 /// `JIFFY_DISABLE_FAST_PATH=1` forces the generic path, for the
@@ -60,112 +55,33 @@ pub(crate) fn fast_path_enabled() -> bool {
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// Locate the node for a read: helps structure modifications (temp
-    /// split nodes inside the traversal, merge terminators here) but not
-    /// regular pending updates, per Algorithm 2.
-    pub(crate) fn locate_for_read<'g>(&self, key: &K, guard: &'g Guard) -> NodeAndHead<'g, K, V> {
-        let mut backoff = HelpBackoff::new();
-        #[cfg(feature = "perf-counters")]
-        let mut iters = 0u64;
-        loop {
-            #[cfg(feature = "perf-counters")]
-            {
-                iters += 1;
-                if iters > 1 {
-                    crate::counters::bump(|c| c.locate_retries += 1);
-                }
-            }
-            let node_s = self.find_node_for_key(key, guard);
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { node_s.deref() };
-            let next_snapshot = node.next.load(Ordering::Acquire, guard);
-            let head_s = node.head.load(Ordering::Acquire, guard);
-            // Overlap the head revision's miss with the validation below
-            // (it is dereferenced only after the terminated check).
-            prefetch_read(head_s.as_raw());
-            if node.is_terminated() {
-                continue;
-            }
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let head = unsafe { head_s.deref() };
-            if head.is_merge_terminator() {
-                // Ownership hint: the merge owner publishes progress by
-                // installing the merge revision on the terminator. Give
-                // it a bounded grace period before piling onto the same
-                // CASes (see `backoff`).
-                let installed = head
-                    .as_terminator()
-                    .map(|t| !t.merge_rev.load(Ordering::Acquire, guard).is_null())
-                    .unwrap_or(false);
-                if backoff.should_wait(head_s.as_raw() as usize, installed as usize) {
-                    perf_count!(backoff_waits);
-                    continue;
-                }
-                self.help_merge_terminator(node_s, head_s, guard);
-                continue;
-            }
-            if node.next.load(Ordering::Acquire, guard) != next_snapshot {
-                continue;
-            }
-            // SAFETY: if non-null, the pointee is kept alive by the
-            // enclosing pin guard (EBR).
-            if let Some(succ) = unsafe { next_snapshot.as_ref() } {
-                if succ.key.le(key) {
-                    // Stale floor: a split moved the key's range to a
-                    // new right node after the traversal read `next`;
-                    // reading here would return the left half's (old)
-                    // view of the key (Algorithm 2's `key < next.key`
-                    // re-check).
-                    continue;
-                }
-            }
-            return (node_s, head_s);
-        }
+    /// split nodes inside the traversal, merge terminators at the head)
+    /// but not regular pending updates, per Algorithm 2.
+    #[inline]
+    pub(crate) fn locate_for_read<'g>(&self, key: &K, guard: &'g Guard) -> Neighbourhood<'g, K, V> {
+        self.locate(Seek::Key(key), &ForRead, guard)
     }
 
-    /// The flat fast path shared by `get` and `get_at`: answer from the
-    /// located node's head revision iff it is finalized, regular, within
-    /// the snapshot bound (`max_version`), and still covers `key`.
-    /// `None` means "unusual neighbourhood — take the generic path";
-    /// `Some(answer)` is the lookup result.
+    /// The flat fast path shared by `get` and `get_at`: one
+    /// [`neighbourhood`](Self::neighbourhood) read, answered from the
+    /// head revision iff it is finalized, regular and within the
+    /// snapshot bound (`max_version`). `None` means "unusual
+    /// neighbourhood — take the generic path"; `Some(answer)` is the
+    /// lookup result.
     #[inline]
     fn get_fast(&self, key: &K, max_version: Option<i64>, guard: &Guard) -> Option<Option<V>> {
         perf_count!(fastpath_attempts);
-        let node_s = self.find_node_for_key(key, guard);
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        let node = unsafe { node_s.deref() };
-        let next_snapshot = node.next.load(Ordering::Acquire, guard);
-        let head_s = node.head.load(Ordering::Acquire, guard);
-        if head_s.is_null() {
-            return None;
-        }
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        let head = unsafe { head_s.deref() };
-        if !matches!(head.kind, RevKind::Regular) || node.is_terminated() {
+        let found = self.neighbourhood(Seek::Key(key), guard)?;
+        let head = found.head();
+        if !matches!(head.kind, RevKind::Regular) {
             return None;
         }
         let v = head.version();
         if v < 0 || max_version.is_some_and(|s| v > s) {
             return None;
         }
-        // The same `next`-bracketing the generic locate loop performs —
-        // unchanged across the head read, and covering the key — just
-        // without its retry: any wobble bails to the slow path.
-        if node.next.load(Ordering::Acquire, guard) != next_snapshot {
-            return None;
-        }
-        // SAFETY: if non-null, the pointee is kept alive by the
-        // enclosing pin guard (EBR).
-        if let Some(succ) = unsafe { next_snapshot.as_ref() } {
-            if succ.key.le(key) {
-                return None;
-            }
-        }
         perf_count!(fastpath_hits);
-        self.note_read(head_s, guard);
+        self.note_read(found.head_s(), guard);
         Some(head.data.get(key).cloned())
     }
 
@@ -191,9 +107,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             }
         }
         'restart: loop {
-            let (_, head_s) = self.locate_for_read(key, guard);
-            self.note_read(head_s, guard);
-            let mut rev_s = head_s;
+            let mut rev_s = self.locate_for_read(key, guard).head_s();
+            self.note_read(rev_s, guard);
             loop {
                 if rev_s.is_null() {
                     continue 'restart;
@@ -227,9 +142,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 return answer;
             }
         }
-        let (node_s, head_s) = self.locate_for_read(key, guard);
-        self.note_read(head_s, guard);
-        let mut rev_s = head_s;
+        let found = self.locate_for_read(key, guard);
+        self.note_read(found.head_s(), guard);
+        let mut rev_s = found.head_s();
         loop {
             if rev_s.is_null() {
                 return None;
@@ -243,7 +158,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 // The update is concurrent but may linearize before the
                 // snapshot: help it and re-read (only heads can be
                 // pending, so `node_s` is the right helping context).
-                self.help_pending_update(node_s, rev_s, guard);
+                self.help_pending_update(found.node_s(), rev_s, guard);
                 v = rev.version();
             }
             if v >= 0 && v <= snap {

@@ -1,7 +1,9 @@
 //! Snapshot range scans (paper §3.3.4).
 //!
 //! A range scan always runs against a snapshot version. It walks the
-//! level-0 list from the node covering the start key, resolving each
+//! level-0 list from the node covering the start key (or the base node),
+//! one `locate` per node (`locate.rs`, `ForScan`: the validated
+//! successor is a real node, never a temp split), resolving each
 //! node's revision list at the snapshot and emitting entries inside the
 //! node's *window* — `[max(lo, node.key), successor.key)` at observation
 //! time. Windows partition the keyspace, so concurrent splits/merges can
@@ -22,75 +24,43 @@ use crossbeam_epoch::{self as epoch, Guard, Shared};
 use jiffy_clock::VersionClock;
 
 use crate::inner::{JiffyInner, MapKey, MapValue};
-use crate::node::{NodeKey, Revision};
+use crate::locate::{ForScan, Seek};
+use crate::node::Revision;
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// Visit entries with key `>= lo` at snapshot `snap`, ascending, until
     /// `sink` returns `false` or the key space is exhausted.
     pub(crate) fn scan_at(&self, lo: &K, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
+        self.scan(Seek::Key(lo), snap, sink)
+    }
+
+    /// Scan from the beginning of the key space (snapshot `len()` /
+    /// iteration support; there is no "-inf" key to pass to `scan_at`).
+    pub(crate) fn scan_min(&self, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
+        self.scan(Seek::Min, snap, sink)
+    }
+
+    fn scan(&self, from: Seek<'_, K>, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
         debug_assert!(snap >= 0);
         let guard = &epoch::pin();
-        let mut cursor: K = lo.clone();
-        'nodes: loop {
-            // Locate the node covering the cursor, with a validated
-            // successor (the Algorithm 2 line 14 re-check, which here also
-            // pins the emission window).
-            let (node_s, head_s, upper) = loop {
-                let node_s = self.find_node_for_key(&cursor, guard);
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let node = unsafe { node_s.deref() };
-                let next_snapshot = node.next.load(Ordering::Acquire, guard);
-                let head_s = node.head.load(Ordering::Acquire, guard);
-                if node.is_terminated() {
-                    continue;
-                }
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                if !next_snapshot.is_null() && unsafe { next_snapshot.deref() }.is_temp_split() {
-                    // Help and re-read so the window bound is a real node.
-                    self.help_temp_split_node(node_s, next_snapshot, guard);
-                    continue;
-                }
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let head = unsafe { head_s.deref() };
-                if head.is_merge_terminator() {
-                    self.help_merge_terminator(node_s, head_s, guard);
-                    continue;
-                }
-                if node.next.load(Ordering::Acquire, guard) != next_snapshot {
-                    continue;
-                }
-                let upper: Option<K> = if next_snapshot.is_null() {
-                    None
-                } else {
-                    // SAFETY: non-null and reached under the enclosing pin guard;
-                    // EBR defers reclamation of epoch-reachable nodes until unpin.
-                    match &unsafe { next_snapshot.deref() }.key {
-                        NodeKey::Key(k) => Some(k.clone()),
-                        NodeKey::NegInf => unreachable!("base node is never a successor"),
-                    }
-                };
-                if upper.as_ref().is_some_and(|u| u <= &cursor) {
-                    // Stale floor: a split carved the cursor's range out
-                    // to a new right node after the traversal read
-                    // `next` — this window would be empty (or worse,
-                    // move the cursor backwards). Relocate.
-                    continue;
-                }
-                break (node_s, head_s, upper);
-            };
-            self.note_read(head_s, guard);
-
-            // Emit this node's window: [cursor, upper).
+        // `None` stands for -inf: the base node's range has no lower key.
+        let mut cursor: Option<K> = match from {
+            Seek::Key(lo) => Some(lo.clone()),
+            Seek::Min => None,
+        };
+        loop {
+            // The validated successor (the Algorithm 2 line 14 re-check)
+            // also pins this node's emission window: [cursor, upper).
+            let found = self.locate(cursor.as_ref().map_or(Seek::Min, Seek::Key), &ForScan, guard);
+            self.note_read(found.head_s(), guard);
+            let upper = found.upper();
             let mut keep_going = true;
             self.resolve_window(
-                node_s,
-                head_s,
+                found.node_s(),
+                found.head_s(),
                 snap,
-                Some(&cursor),
-                upper.as_ref(),
+                cursor.as_ref(),
+                upper,
                 &mut |k, v| {
                     keep_going = sink(k, v);
                     keep_going
@@ -101,8 +71,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 return;
             }
             match upper {
-                Some(u) => cursor = u,
-                None => break 'nodes,
+                Some(u) => cursor = Some(u.clone()),
+                None => return,
             }
         }
     }

@@ -26,6 +26,7 @@ use std::sync::atomic::Ordering;
 use crossbeam_epoch::{Guard, Owned, Shared};
 use jiffy_clock::VersionClock;
 
+use crate::backoff::Tripwire;
 use crate::inner::{JiffyInner, MapKey, MapValue};
 use crate::node::{Node, NodeKey, NodeKind, Revision};
 
@@ -50,17 +51,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let lsr = unsafe { lsr_s.deref() };
         let info = lsr.as_split().expect("help_split takes a left split revision").clone();
-        #[cfg(debug_assertions)]
-        let mut spins = 0u64;
+        let mut tripwire = Tripwire::new("help_split");
         loop {
-            #[cfg(debug_assertions)]
-            {
-                spins += 1;
-                if spins > 30_000_000 {
-                    jiffy_obs::dump_on_failure("help_split livelock tripwire", 64);
-                    panic!("help_split livelock: lsr_ver={}", lsr.version());
-                }
-            }
+            tripwire.tick(|| format!("lsr_ver={}", lsr.version()));
             if lsr.version() >= 0 {
                 // Split already completed (possibly long ago). If a stale
                 // temp of ours lingers, the next traversal removes it.
@@ -76,14 +69,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             // SAFETY: non-null and reached under the enclosing pin guard;
             // EBR defers reclamation of epoch-reachable nodes until unpin.
             let next = unsafe { next_s.deref() };
-            if let NodeKind::TempSplit { lsr: tlsr, .. } = &next.kind {
-                if tlsr.load(Ordering::Acquire, guard) == lsr_s {
-                    // Our temp is in: replace it with the real node.
-                    self.help_temp_split_node(node_s, next_s, guard);
-                } else {
-                    // A stale temp from an older split of this node.
-                    self.help_temp_split_node(node_s, next_s, guard);
-                }
+            if next.is_temp_split() {
+                // Our temp (replace it with the real node) or a stale one
+                // from an older split of this node (unlink it).
+                self.help_temp_split_node(node_s, next_s, guard);
                 continue;
             }
             if next.is_terminated() {

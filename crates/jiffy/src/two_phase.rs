@@ -148,7 +148,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyMap<K, V, C> {
 
     /// Phase 1 (install): install — or help install — the staged
     /// sub-batch's revisions on this map. Idempotent; returns once the
-    /// sub-batch is fully installed (still invisible to readers).
+    /// sub-batch is fully installed (still invisible to readers). A
+    /// caller holding a stale handle (the batch committed meanwhile) is
+    /// harmless: this is `help_batch`, which validates the descriptor
+    /// after every head read it installs against.
     pub fn install_prepared(&self, prepared: &TwoPhasePrepared<K, V>) {
         if prepared.desc.len() == 0 {
             return;
@@ -164,8 +167,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyMap<K, V, C> {
     }
 
     /// Phase 2: publish the shared final version; every sub-batch bound
-    /// to `ticket` becomes visible atomically. Idempotent; returns the
-    /// final version.
+    /// to `ticket` becomes visible atomically. Idempotent (the cell only
+    /// moves pending -> final, first writer wins, so a late helper reads
+    /// the version it lost to); returns the final version.
     pub fn commit_pending(&self, ticket: &TwoPhaseTicket) -> i64 {
         debug_assert!(
             !ticket.aborted.load(Ordering::Acquire),
@@ -177,7 +181,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyMap<K, V, C> {
     }
 
     /// Abandon a ticket *no part of which was ever installed*. Returns
-    /// `false` (and does nothing) if the ticket already committed.
+    /// `false` (and does nothing) if the ticket already committed. The
+    /// version read is not re-validated before the flag is set, and need
+    /// not be: with nothing installed no helper can reach the ticket, so
+    /// only its holder can commit it.
     pub fn abort_pending(&self, ticket: &TwoPhaseTicket) -> bool {
         let v = ticket.cell.load();
         if v >= 0 {

@@ -55,6 +55,11 @@ use index_api::{Batch, BatchOp, OrderedIndex as _};
 use jiffy::JiffyConfig;
 use jiffy_dur::{failpoint, DurOptions, Durability, DurableMap, RecoveryReport};
 use jiffy_shard::{ElasticJiffy, Router};
+use system_tests::with_deadline;
+
+/// The wall-clock ceiling of every test in this file: a hang becomes a
+/// named failure with a flight-recorder dump instead of a killed job.
+const DEADLINE_SECS: u64 = 300;
 
 type DMap = DurableMap<Arc<ElasticJiffy<u64, u64>>>;
 
@@ -399,38 +404,47 @@ fn run_round(
 
 #[test]
 fn crash_at_wal_sync_preserves_acked_writes() {
-    let (crashed, report) =
-        run_round("wal-sync", 11, 240, Some("wal-sync:25"), false, false).expect("round");
-    assert!(crashed, "countdown 25 must land inside a 480-op fsync workload");
-    assert!(report.replayed > 0, "synced records must replay: {report:?}");
+    with_deadline("crash_at_wal_sync_preserves_acked_writes", DEADLINE_SECS, || {
+        let (crashed, report) =
+            run_round("wal-sync", 11, 240, Some("wal-sync:25"), false, false).expect("round");
+        assert!(crashed, "countdown 25 must land inside a 480-op fsync workload");
+        assert!(report.replayed > 0, "synced records must replay: {report:?}");
+    });
 }
 
 #[test]
 fn torn_wal_tail_repairs_on_recovery() {
-    let (crashed, report) =
-        run_round("torn-tail", 12, 240, Some("wal-sync:40:torn:7"), false, false).expect("round");
-    assert!(crashed, "countdown 40 must land inside the workload");
-    assert!(report.replayed > 0, "the valid prefix must replay: {report:?}");
+    with_deadline("torn_wal_tail_repairs_on_recovery", DEADLINE_SECS, || {
+        let (crashed, report) =
+            run_round("torn-tail", 12, 240, Some("wal-sync:40:torn:7"), false, false)
+                .expect("round");
+        assert!(crashed, "countdown 40 must land inside the workload");
+        assert!(report.replayed > 0, "the valid prefix must replay: {report:?}");
+    });
 }
 
 #[test]
 fn crash_mid_checkpoint_recovers() {
-    // The churn thread checkpoints continuously; the third chunk write
-    // dies mid-checkpoint, leaving complete earlier checkpoints plus
-    // live WAL tails for recovery to stitch together.
-    let (crashed, report) =
-        run_round("mid-ckpt", 13, 300, Some("ckpt-chunk:3"), true, false).expect("round");
-    assert!(crashed, "checkpoint churn must reach the third chunk write");
-    assert!(report.checkpoint.is_some(), "an earlier complete checkpoint survives: {report:?}");
+    with_deadline("crash_mid_checkpoint_recovers", DEADLINE_SECS, || {
+        // The churn thread checkpoints continuously; the third chunk write
+        // dies mid-checkpoint, leaving complete earlier checkpoints plus
+        // live WAL tails for recovery to stitch together.
+        let (crashed, report) =
+            run_round("mid-ckpt", 13, 300, Some("ckpt-chunk:3"), true, false).expect("round");
+        assert!(crashed, "checkpoint churn must reach the third chunk write");
+        assert!(report.checkpoint.is_some(), "an earlier complete checkpoint survives: {report:?}");
+    });
 }
 
 #[test]
 fn crash_mid_reshard_recovers() {
-    // Split/merge churn keeps a migration in flight while the WAL dies;
-    // stripes are routing-independent, so the model check must hold.
-    let (crashed, _report) =
-        run_round("mid-reshard", 14, 300, Some("wal-sync:60"), false, true).expect("round");
-    assert!(crashed, "countdown 60 must land inside the workload");
+    with_deadline("crash_mid_reshard_recovers", DEADLINE_SECS, || {
+        // Split/merge churn keeps a migration in flight while the WAL dies;
+        // stripes are routing-independent, so the model check must hold.
+        let (crashed, _report) =
+            run_round("mid-reshard", 14, 300, Some("wal-sync:60"), false, true).expect("round");
+        assert!(crashed, "countdown 60 must land inside the workload");
+    });
 }
 
 // ------------------------------------------------------------- fuzz rounds
@@ -440,41 +454,45 @@ fn crash_mid_reshard_recovers() {
 /// the budget and `JIFFY_CRASH_SEED` replays one failing seed exactly.
 #[test]
 fn crash_fuzz_recovers_acked_writes() {
-    let rounds: u64 =
-        std::env::var("JIFFY_CRASH_ROUNDS").ok().and_then(|s| s.parse().ok()).unwrap_or(12);
-    let seeds: Vec<u64> = match std::env::var("JIFFY_CRASH_SEED").ok().and_then(|s| s.parse().ok())
-    {
-        Some(one) => vec![one],
-        None => (0..rounds).map(|i| 0xC0FF_EE00 + i).collect(),
-    };
-    let mut crashes = 0u64;
-    for &seed in &seeds {
-        let mut rng = seed ^ 0xD1CE;
-        let scenario = xorshift(&mut rng) % 9;
-        let c_sync = 1 + xorshift(&mut rng) % 220;
-        let c_app = 1 + xorshift(&mut rng) % 300;
-        let c_ck = 1 + xorshift(&mut rng) % 4;
-        let (fp, ckpt): (Option<String>, bool) = match scenario {
-            0 => (None, false), // clean run: recovery of a clean log
-            1 => (Some(format!("wal-append:{c_app}")), false),
-            2 => (Some(format!("wal-sync:{c_sync}")), false),
-            3 => (Some(format!("wal-sync:{c_sync}:torn:{seed}")), false),
-            4 => (Some(format!("ckpt-begin:{c_ck}")), true),
-            5 => (Some(format!("ckpt-chunk:{c_ck}")), true),
-            6 => (Some(format!("ckpt-manifest:{c_ck}:torn:{seed}")), true),
-            7 => (Some(format!("ckpt-rotate:{c_ck}")), true),
-            _ => (Some("wal-prune:1".to_string()), true),
-        };
-        let reshard = xorshift(&mut rng) % 3 == 0;
-        match run_round(&format!("fuzz-{seed}"), seed, 200, fp.as_deref(), ckpt, reshard) {
-            Ok((crashed, _)) => crashes += crashed as u64,
-            Err(msg) => {
-                eprintln!("crash-fuzz: FAILING SEED {seed} — replay with JIFFY_CRASH_SEED={seed}");
-                panic!("crash-fuzz round failed (seed {seed}, site {fp:?}): {msg}");
+    with_deadline("crash_fuzz_recovers_acked_writes", DEADLINE_SECS, || {
+        let rounds: u64 =
+            std::env::var("JIFFY_CRASH_ROUNDS").ok().and_then(|s| s.parse().ok()).unwrap_or(12);
+        let seeds: Vec<u64> =
+            match std::env::var("JIFFY_CRASH_SEED").ok().and_then(|s| s.parse().ok()) {
+                Some(one) => vec![one],
+                None => (0..rounds).map(|i| 0xC0FF_EE00 + i).collect(),
+            };
+        let mut crashes = 0u64;
+        for &seed in &seeds {
+            let mut rng = seed ^ 0xD1CE;
+            let scenario = xorshift(&mut rng) % 9;
+            let c_sync = 1 + xorshift(&mut rng) % 220;
+            let c_app = 1 + xorshift(&mut rng) % 300;
+            let c_ck = 1 + xorshift(&mut rng) % 4;
+            let (fp, ckpt): (Option<String>, bool) = match scenario {
+                0 => (None, false), // clean run: recovery of a clean log
+                1 => (Some(format!("wal-append:{c_app}")), false),
+                2 => (Some(format!("wal-sync:{c_sync}")), false),
+                3 => (Some(format!("wal-sync:{c_sync}:torn:{seed}")), false),
+                4 => (Some(format!("ckpt-begin:{c_ck}")), true),
+                5 => (Some(format!("ckpt-chunk:{c_ck}")), true),
+                6 => (Some(format!("ckpt-manifest:{c_ck}:torn:{seed}")), true),
+                7 => (Some(format!("ckpt-rotate:{c_ck}")), true),
+                _ => (Some("wal-prune:1".to_string()), true),
+            };
+            let reshard = xorshift(&mut rng) % 3 == 0;
+            match run_round(&format!("fuzz-{seed}"), seed, 200, fp.as_deref(), ckpt, reshard) {
+                Ok((crashed, _)) => crashes += crashed as u64,
+                Err(msg) => {
+                    eprintln!(
+                        "crash-fuzz: FAILING SEED {seed} — replay with JIFFY_CRASH_SEED={seed}"
+                    );
+                    panic!("crash-fuzz round failed (seed {seed}, site {fp:?}): {msg}");
+                }
             }
         }
-    }
-    eprintln!("crash-fuzz: {} rounds, {crashes} induced crashes, zero violations", seeds.len());
+        eprintln!("crash-fuzz: {} rounds, {crashes} induced crashes, zero violations", seeds.len());
+    });
 }
 
 // ------------------------------------------- checkpoint vs. reshard satellite
@@ -484,76 +502,85 @@ fn crash_fuzz_recovers_acked_writes() {
 /// (Wing–Gong) and the whole thing checked for linearizability.
 #[test]
 fn checkpoint_during_split_merge_is_linearizable() {
-    use linearize::{check_bounded, Event, Op, Outcome};
+    with_deadline("checkpoint_during_split_merge_is_linearizable", DEADLINE_SECS, || {
+        use linearize::{check_bounded, Event, Op, Outcome};
 
-    const KEYS: [u64; 4] = [10, 20, 30, 40];
-    let base = std::env::temp_dir().join(format!("jiffy-crash-wg-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&base);
+        const KEYS: [u64; 4] = [10, 20, 30, 40];
+        let base = std::env::temp_dir().join(format!("jiffy-crash-wg-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
 
-    let map = fresh_map();
-    let (dur, _) = DurableMap::open(Arc::clone(&map), &base, dur_opts()).expect("open");
-    let dur = Arc::new(dur);
-    let ts = Arc::new(AtomicU64::new(0));
-    let events = Arc::new(std::sync::Mutex::new(Vec::<Event>::new()));
+        let map = fresh_map();
+        let (dur, _) = DurableMap::open(Arc::clone(&map), &base, dur_opts()).expect("open");
+        let dur = Arc::new(dur);
+        let ts = Arc::new(AtomicU64::new(0));
+        let events = Arc::new(std::sync::Mutex::new(Vec::<Event>::new()));
 
-    let mut handles = Vec::new();
-    for t in 0..3u64 {
-        let d = Arc::clone(&dur);
-        let ts = Arc::clone(&ts);
-        let ev = Arc::clone(&events);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = 0x1234_5678 ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            for i in 0..8u64 {
-                let ki = (xorshift(&mut rng) % 4) as usize;
-                let k = KEYS[ki];
-                let v = t * 1000 + i + 1; // globally unique values
-                let invoke = ts.fetch_add(1, Ordering::Relaxed);
-                let op = match xorshift(&mut rng) % 10 {
-                    0..=4 => {
-                        d.put(k, v).expect("put");
-                        Op::Put(k, v)
-                    }
-                    5..=6 => Op::Remove(k, d.remove(&k).expect("remove")),
-                    7..=8 => Op::Get(k, d.get(&k)),
-                    _ => {
-                        let k2 = KEYS[(ki + 1) % 4];
-                        d.batch_update(Batch::new(vec![BatchOp::Put(k, v), BatchOp::Put(k2, v)]))
+        let mut handles = Vec::new();
+        for t in 0..3u64 {
+            let d = Arc::clone(&dur);
+            let ts = Arc::clone(&ts);
+            let ev = Arc::clone(&events);
+            handles.push(std::thread::spawn(move || {
+                let mut rng = 0x1234_5678 ^ (t + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                for i in 0..8u64 {
+                    let ki = (xorshift(&mut rng) % 4) as usize;
+                    let k = KEYS[ki];
+                    let v = t * 1000 + i + 1; // globally unique values
+                    let invoke = ts.fetch_add(1, Ordering::Relaxed);
+                    let op = match xorshift(&mut rng) % 10 {
+                        0..=4 => {
+                            d.put(k, v).expect("put");
+                            Op::Put(k, v)
+                        }
+                        5..=6 => Op::Remove(k, d.remove(&k).expect("remove")),
+                        7..=8 => Op::Get(k, d.get(&k)),
+                        _ => {
+                            let k2 = KEYS[(ki + 1) % 4];
+                            d.batch_update(Batch::new(vec![
+                                BatchOp::Put(k, v),
+                                BatchOp::Put(k2, v),
+                            ]))
                             .expect("batch");
-                        Op::Batch(vec![(k, Some(v)), (k2, Some(v))])
-                    }
-                };
-                let respond = ts.fetch_add(1, Ordering::Relaxed);
-                ev.lock().unwrap().push(Event { invoke, respond, op });
-            }
-        }));
-    }
-
-    // Concurrent topology churn + checkpoints while the writers run.
-    let _ = map.split_at(25);
-    dur.checkpoint().expect("checkpoint during split");
-    let _ = map.merge_at(0);
-    dur.checkpoint().expect("checkpoint during merge");
-    for h in handles {
-        h.join().expect("writer");
-    }
-    dur.sync().expect("sync");
-    drop(dur);
-
-    let map2 = fresh_map();
-    let (_dur2, report) = DurableMap::open(Arc::clone(&map2), &base, dur_opts()).expect("recover");
-    assert!(report.checkpoint.is_some(), "a committed checkpoint must recover: {report:?}");
-
-    let mut history = Arc::try_unwrap(events).expect("threads joined").into_inner().unwrap();
-    for k in KEYS {
-        // Post-recovery reads, appended after every concurrent event.
-        let t = ts.fetch_add(1, Ordering::Relaxed);
-        history.push(Event { invoke: t, respond: t, op: Op::Get(k, map2.get(&k)) });
-    }
-    match check_bounded(&history, 4_000_000) {
-        Outcome::Linearizable(_) => {}
-        other => {
-            panic!("recovered history is not linearizable: {other:?} over {} events", history.len())
+                            Op::Batch(vec![(k, Some(v)), (k2, Some(v))])
+                        }
+                    };
+                    let respond = ts.fetch_add(1, Ordering::Relaxed);
+                    ev.lock().unwrap().push(Event { invoke, respond, op });
+                }
+            }));
         }
-    }
-    let _ = fs::remove_dir_all(&base);
+
+        // Concurrent topology churn + checkpoints while the writers run.
+        let _ = map.split_at(25);
+        dur.checkpoint().expect("checkpoint during split");
+        let _ = map.merge_at(0);
+        dur.checkpoint().expect("checkpoint during merge");
+        for h in handles {
+            h.join().expect("writer");
+        }
+        dur.sync().expect("sync");
+        drop(dur);
+
+        let map2 = fresh_map();
+        let (_dur2, report) =
+            DurableMap::open(Arc::clone(&map2), &base, dur_opts()).expect("recover");
+        assert!(report.checkpoint.is_some(), "a committed checkpoint must recover: {report:?}");
+
+        let mut history = Arc::try_unwrap(events).expect("threads joined").into_inner().unwrap();
+        for k in KEYS {
+            // Post-recovery reads, appended after every concurrent event.
+            let t = ts.fetch_add(1, Ordering::Relaxed);
+            history.push(Event { invoke: t, respond: t, op: Op::Get(k, map2.get(&k)) });
+        }
+        match check_bounded(&history, 4_000_000) {
+            Outcome::Linearizable(_) => {}
+            other => {
+                panic!(
+                    "recovered history is not linearizable: {other:?} over {} events",
+                    history.len()
+                )
+            }
+        }
+        let _ = fs::remove_dir_all(&base);
+    });
 }
