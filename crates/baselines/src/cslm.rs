@@ -109,6 +109,13 @@ where
     ) -> (Vec<Shared<'g, Node<K, V>>>, Shared<'g, Node<K, V>>) {
         let mut preds = vec![Shared::null(); MAX_HEIGHT];
         let mut pred = self.head_node(guard);
+        // The last successor read; after the level-0 pass (every node
+        // has a level 0, so it always reads one) that is the node the
+        // walk *compared* as `>= key`, or null. It must be this one and
+        // not a fresh read of `preds[0].levels[0]`: a node inserted
+        // between the two reads can carry a smaller key, and an insert
+        // linked in front of it would break the list's order.
+        let mut succ = Shared::null();
         for level in (0..MAX_HEIGHT).rev() {
             loop {
                 // SAFETY: non-null and reached under the enclosing pin guard;
@@ -117,22 +124,18 @@ where
                 if level >= p.height() {
                     break;
                 }
-                let curr = p.levels[level].load(Ordering::Acquire, guard);
+                succ = p.levels[level].load(Ordering::Acquire, guard);
                 // SAFETY: if non-null, the pointee is kept alive by the
                 // enclosing pin guard (EBR).
-                let Some(c) = (unsafe { curr.as_ref() }) else { break };
+                let Some(c) = (unsafe { succ.as_ref() }) else { break };
                 match c.key.as_ref().unwrap().cmp(key) {
-                    std::cmp::Ordering::Less => pred = curr,
+                    std::cmp::Ordering::Less => pred = succ,
                     _ => break,
                 }
             }
             preds[level] = pred;
         }
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        let p0 = unsafe { preds[0].deref() };
-        let succ0 = p0.levels[0].load(Ordering::Acquire, guard);
-        (preds, succ0)
+        (preds, succ)
     }
 
     /// Most recent value for `key` (linearizable: one atomic value read).

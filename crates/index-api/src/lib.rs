@@ -120,11 +120,33 @@ pub trait OrderedIndex<K: Ord + Clone, V: Clone>: Send + Sync {
     /// "ca-avl", ...).
     fn name(&self) -> &'static str;
 
-    /// Collect up to `n` entries from `lo` into a vector (convenience
-    /// wrapper over [`scan_from`](OrderedIndex::scan_from)).
+    /// Visit up to `n` entries with key `>= lo`, ascending, as *runs*:
+    /// each call of `sink` receives a slice of consecutive keys and the
+    /// equally long slice of their values. An index that stores entries
+    /// contiguously (Jiffy's revisions) overrides this to hand its arrays
+    /// out without a per-entry call; the default adapts
+    /// [`scan_from`](OrderedIndex::scan_from) with one-element runs, so
+    /// every index supports it.
+    ///
+    /// The run contract: no run is empty; keys ascend strictly within a
+    /// run and from one run to the next; the runs total at most `n`
+    /// entries. The slices are borrowed **for the duration of the sink
+    /// call only** — they may point into memory the index reclaims once
+    /// the scan moves on, and the sink's higher-ranked signature
+    /// (`for<'r> FnMut(&'r [K], &'r [V])`) makes keeping one a compile
+    /// error; clone what must outlive the call. Consistency is that of
+    /// `scan_from`.
+    fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
+        self.scan_from(lo, n, &mut |k, v| sink(std::slice::from_ref(k), std::slice::from_ref(v)));
+    }
+
+    /// Collect up to `n` entries from `lo` into a vector, through
+    /// [`scan_runs`](OrderedIndex::scan_runs). `n` is a limit, not a
+    /// size: it may come from an untrusted caller, so the pre-allocation
+    /// it buys is capped and the vector grows with what the scan finds.
     fn scan_collect(&self, lo: &K, n: usize) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(n.min(1024));
-        self.scan_from(lo, n, &mut |k, v| out.push((k.clone(), v.clone())));
+        self.scan_runs(lo, n, &mut |ks, vs| out.extend(ks.iter().cloned().zip(vs.iter().cloned())));
         out
     }
 
@@ -192,7 +214,9 @@ pub trait BulkLoad<K: Ord + Clone, V: Clone>: OrderedIndex<K, V> {
 //
 // These blanket impls make `Arc<T>` a first-class index, so the layers
 // above a map (`jiffy-dur`, `jiffy-server`, the benchmark) can share one
-// instance by handle.
+// instance by handle. Every method is forwarded, provided ones included:
+// a provided method left out would resolve to the trait default on the
+// handle and silently bypass `T`'s override.
 
 impl<K: Ord + Clone, V: Clone, T: OrderedIndex<K, V> + ?Sized> OrderedIndex<K, V>
     for std::sync::Arc<T>
@@ -211,6 +235,14 @@ impl<K: Ord + Clone, V: Clone, T: OrderedIndex<K, V> + ?Sized> OrderedIndex<K, V
 
     fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
         (**self).scan_from(lo, n, sink)
+    }
+
+    fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
+        (**self).scan_runs(lo, n, sink)
+    }
+
+    fn scan_collect(&self, lo: &K, n: usize) -> Vec<(K, V)> {
+        (**self).scan_collect(lo, n)
     }
 
     fn batch_update(&self, batch: Batch<K, V>) {
@@ -243,6 +275,103 @@ impl<K: Ord + Clone, V: Clone, T: BulkLoad<K, V>> BulkLoad<K, V> for std::sync::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// An index over the fixed entries `(0, 0), (1, 10), .. (9, 90)` that
+    /// overrides both provided scan methods and counts how often each
+    /// override runs.
+    #[derive(Default)]
+    struct Counting {
+        runs: AtomicUsize,
+        collects: AtomicUsize,
+    }
+
+    const KEYS: [u32; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+    const VALS: [u32; 10] = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90];
+
+    impl OrderedIndex<u32, u32> for Counting {
+        fn get(&self, key: &u32) -> Option<u32> {
+            KEYS.binary_search(key).ok().map(|i| VALS[i])
+        }
+        fn put(&self, _: u32, _: u32) {}
+        fn remove(&self, _: &u32) -> bool {
+            false
+        }
+        fn scan_from(&self, lo: &u32, n: usize, sink: &mut dyn FnMut(&u32, &u32)) {
+            for (k, v) in KEYS.iter().zip(&VALS).filter(|(k, _)| *k >= lo).take(n) {
+                sink(k, v);
+            }
+        }
+        fn scan_runs(&self, lo: &u32, n: usize, sink: &mut dyn FnMut(&[u32], &[u32])) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            let start = KEYS.partition_point(|k| k < lo);
+            let end = KEYS.len().min(start.saturating_add(n));
+            if start < end {
+                sink(&KEYS[start..end], &VALS[start..end]);
+            }
+        }
+        fn scan_collect(&self, lo: &u32, n: usize) -> Vec<(u32, u32)> {
+            self.collects.fetch_add(1, Ordering::Relaxed);
+            let mut out = Vec::new();
+            self.scan_from(lo, n, &mut |k, v| out.push((*k, *v)));
+            out
+        }
+        fn batch_update(&self, _: Batch<u32, u32>) {}
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// `Arc<T>` must forward the *provided* scan methods too: left to
+    /// the trait defaults, a shared handle silently bypasses `T`'s
+    /// overrides (and with them the run path).
+    #[test]
+    fn arc_forwards_scan_overrides() {
+        let index = Arc::new(Counting::default());
+        let seen = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
+        let mut runs: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        OrderedIndex::scan_runs(&index, &3, 4, &mut |ks, vs| runs.push((ks.into(), vs.into())));
+        assert_eq!(runs, vec![(vec![3, 4, 5, 6], vec![30, 40, 50, 60])], "one whole run");
+        assert_eq!(seen(&index.runs), 1, "scan_runs override bypassed");
+        let got = OrderedIndex::scan_collect(&index, &8, usize::MAX);
+        assert_eq!(got, vec![(8, 80), (9, 90)]);
+        assert_eq!(seen(&index.collects), 1, "scan_collect override bypassed");
+        // Through a type-erased handle as well.
+        let erased: Arc<dyn OrderedIndex<u32, u32>> = index.clone();
+        assert_eq!(erased.scan_collect(&0, 1), vec![(0, 0)]);
+        assert_eq!(seen(&index.collects), 2);
+    }
+
+    /// The defaults compose: `scan_collect` → `scan_runs` → `scan_from`,
+    /// one-entry runs, limit honoured, and a huge limit is a limit — not
+    /// an allocation.
+    #[test]
+    fn default_scan_runs_adapts_scan_from() {
+        struct Plain;
+        impl OrderedIndex<u32, u32> for Plain {
+            fn get(&self, _: &u32) -> Option<u32> {
+                None
+            }
+            fn put(&self, _: u32, _: u32) {}
+            fn remove(&self, _: &u32) -> bool {
+                false
+            }
+            fn scan_from(&self, lo: &u32, n: usize, sink: &mut dyn FnMut(&u32, &u32)) {
+                Counting::default().scan_from(lo, n, sink)
+            }
+            fn batch_update(&self, _: Batch<u32, u32>) {}
+            fn name(&self) -> &'static str {
+                "plain"
+            }
+        }
+        let mut runs: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        Plain.scan_runs(&7, 2, &mut |ks, vs| runs.push((ks.into(), vs.into())));
+        assert_eq!(runs, vec![(vec![7], vec![70]), (vec![8], vec![80])]);
+        let all = Plain.scan_collect(&0, usize::MAX);
+        assert_eq!(all.len(), 10);
+        assert!(all.capacity() <= 1024, "a limit sized an allocation: {}", all.capacity());
+    }
 
     #[test]
     fn batch_sorts_and_dedups_last_wins() {

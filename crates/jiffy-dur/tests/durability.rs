@@ -7,8 +7,9 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use index_api::{Batch, BatchOp};
+use index_api::{Batch, BatchOp, BulkLoad, OrderedIndex};
 use jiffy::JiffyMap;
 use jiffy_dur::{corrupt, wal, DurOptions, Durability, DurableMap};
 
@@ -468,5 +469,64 @@ fn incomplete_batch_parts_drop_whole() {
     assert_eq!(rep.incomplete_batches, 1, "{rep:?}");
     assert_eq!(m2.get(&a), None, "torn batch must vanish whole");
     assert_eq!(m2.get(&b), None);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A `JiffyMap` that counts how often its `scan_collect` override runs.
+#[derive(Default)]
+struct CountingMap {
+    map: Inner,
+    collects: std::sync::atomic::AtomicUsize,
+}
+
+impl OrderedIndex<u64, u64> for CountingMap {
+    fn get(&self, key: &u64) -> Option<u64> {
+        self.map.get(key)
+    }
+    fn put(&self, key: u64, value: u64) {
+        self.map.put(key, value);
+    }
+    fn remove(&self, key: &u64) -> bool {
+        self.map.remove(key).is_some()
+    }
+    fn scan_from(&self, lo: &u64, n: usize, sink: &mut dyn FnMut(&u64, &u64)) {
+        self.map.scan_from(lo, n, sink)
+    }
+    fn scan_collect(&self, lo: &u64, n: usize) -> Vec<(u64, u64)> {
+        self.collects.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        OrderedIndex::scan_collect(&self.map, lo, n)
+    }
+    fn batch_update(&self, batch: Batch<u64, u64>) {
+        self.map.batch(batch)
+    }
+    fn name(&self) -> &'static str {
+        "counting-jiffy"
+    }
+}
+
+impl BulkLoad<u64, u64> for CountingMap {
+    fn bulk_load(&self, entries: Vec<(u64, u64)>) {
+        self.map.bulk_load(entries)
+    }
+}
+
+/// The server and the benchmark hold the map as `DurableMap<Arc<Map>>`:
+/// its scans and its checkpoint chunk loop must reach the map's own
+/// `scan_collect`, not the trait default on the `Arc` handle.
+#[test]
+fn scans_and_checkpoints_reach_the_maps_scan_override_through_arc() {
+    let dir = tmp("arc-forwarding");
+    let inner = Arc::new(CountingMap::default());
+    let (m, _) = DurableMap::open(Arc::clone(&inner), &dir, opts()).expect("open durable map");
+    for k in 0..20u64 {
+        m.put(k, k).unwrap();
+    }
+    let count = || inner.collects.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(m.scan_collect(&5, 3), vec![(5, 5), (6, 6), (7, 7)]);
+    assert_eq!(count(), 1, "DurableMap::scan_collect bypassed the override");
+    let report = m.checkpoint().unwrap();
+    assert_eq!(report.entries, 20);
+    // 20 entries in chunks of 8: three scans, the short last one ends it.
+    assert_eq!(count(), 4, "the checkpoint chunk loop bypassed the override");
     let _ = fs::remove_dir_all(&dir);
 }

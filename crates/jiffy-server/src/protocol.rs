@@ -213,6 +213,22 @@ impl Response {
             | Response::Error { id } => id,
         }
     }
+
+    /// Exact length of the frame [`encode_response`] writes for this
+    /// response, so a reply buffer is allocated once at its final size.
+    pub(crate) fn frame_len(&self) -> usize {
+        let body = match self {
+            Response::Error { .. } => 0,
+            // Everything else carries an opcode byte, then:
+            Response::Put { .. } | Response::Txn { .. } => 1,
+            Response::Remove { .. } => 1 + 1,
+            Response::Get { val, .. } => 1 + 1 + 8 * usize::from(val.is_some()),
+            Response::Scan { entries, .. } => 1 + 4 + 16 * entries.len(),
+            Response::Stats { .. } => 1 + 4 * 8,
+        };
+        // Length prefix, id, status.
+        4 + 8 + 1 + body
+    }
 }
 
 /// Why a frame or payload was rejected.
@@ -581,6 +597,7 @@ mod tests {
         for resp in all_responses() {
             let mut buf = Vec::new();
             encode_response(&mut buf, &resp);
+            assert_eq!(buf.len(), resp.frame_len(), "frame_len drifted from the codec: {resp:?}");
             let mut dec = FrameDecoder::new();
             dec.extend(&buf);
             let payload = dec.next_frame().unwrap().expect("one whole frame");

@@ -499,7 +499,7 @@ fn route_request(
 
 /// Encode and enqueue one response on the connection's response queue.
 fn respond(conn: &ConnShared, resp: &Response) {
-    let mut buf = Vec::with_capacity(32);
+    let mut buf = Vec::with_capacity(resp.frame_len());
     encode_response(&mut buf, resp);
     conn.resp_tx.send(buf);
 }

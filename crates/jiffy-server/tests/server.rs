@@ -103,6 +103,29 @@ fn round_trip_all_ops() {
     server.shutdown();
 }
 
+/// A scan's limit is the client's number, so it bounds the reply and
+/// sizes nothing: the largest legal limit against a ten-entry map
+/// (straddling the shard boundary) answers with the ten entries, and a
+/// `u32::MAX` limit is refused at the decoder — an `Error` reply, no
+/// scan, no allocation — on a connection that then keeps working.
+#[test]
+fn scan_limit_is_a_bound_not_a_size() {
+    let server = start(2, 1 << 16, ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let want: Vec<(u64, u64)> = (0..10u64).map(|i| ((1 << 15) - 5 + i, i)).collect();
+    for (k, v) in &want {
+        c.put(*k, *v).unwrap();
+    }
+    assert_eq!(c.scan(0, protocol::MAX_SCAN).unwrap(), want);
+    assert_eq!(c.scan(want[7].0, protocol::MAX_SCAN).unwrap(), want[7..]);
+    assert!(
+        matches!(c.scan(0, u32::MAX), Err(jiffy_server::ClientError::Rejected(_))),
+        "an over-limit scan must be rejected, not attempted"
+    );
+    assert_eq!(c.scan(0, 3).unwrap(), want[..3], "the connection survives the rejection");
+    server.shutdown();
+}
+
 /// The server must reassemble frames delivered one byte per segment —
 /// split length prefixes included.
 #[test]

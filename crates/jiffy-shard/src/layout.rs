@@ -235,16 +235,17 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
         self.shards[shard].remove(key).is_some()
     }
 
-    /// Consistent scan over a pinned cut. Range routing walks the views
-    /// in key order starting at `lo`'s shard, crediting the shared limit
-    /// as the sink fires; hash routing streams a k-way heap merge over
-    /// bounded per-shard chunks.
-    pub(crate) fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
+    /// Consistent scan over a pinned cut, emitted as runs (the
+    /// [`OrderedIndex::scan_runs`](index_api::OrderedIndex::scan_runs)
+    /// contract). Range routing walks the views in key order starting at
+    /// `lo`'s shard, crediting the shared limit run by run; hash routing
+    /// streams a k-way heap merge over bounded per-shard chunks.
+    pub(crate) fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
         if n == 0 {
             return;
         }
         if self.shards.len() == 1 {
-            return self.shards[0].scan_from(lo, n, sink);
+            return self.shards[0].snapshot().scan_runs(lo, n, sink);
         }
         let views = self.pin_consistent_cut();
         if self.router.is_ordered() {
@@ -253,9 +254,9 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
                 if remaining == 0 {
                     break;
                 }
-                view.scan_from(lo, remaining, &mut |k, v| {
-                    sink(k, v);
-                    remaining -= 1;
+                view.scan_runs(lo, remaining, &mut |ks, vs| {
+                    sink(ks, vs);
+                    remaining -= ks.len();
                 });
             }
         } else {
@@ -365,21 +366,23 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
 const MERGE_CHUNK: usize = 256;
 
 /// Streaming k-way merge of per-shard ascending scans (shards hold
-/// disjoint keys, so no dedup is needed). Each view is read in bounded
-/// chunks and refilled from its last emitted key on exhaustion, so scan
-/// memory is O(shards · chunk) instead of an O(n · shards) whole-run
+/// disjoint keys, so no dedup is needed), emitted as one-entry runs —
+/// hashed neighbours live on different shards, so that is what a merged
+/// run is. Each view is read in bounded chunks, copied out run by run,
+/// and refilled from its last emitted key on exhaustion, so scan memory
+/// is O(shards · chunk) instead of an O(n · shards) whole-run
 /// materialization; a min-heap orders the view fronts, so comparisons
 /// are O(n · log shards).
 ///
 /// Refills restart *at* the last emitted key (scans are
-/// lower-bound-inclusive) and drop everything `<=` it — against an
-/// immutable pinned view that skips exactly the duplicate. A short chunk
-/// marks the view exhausted: an immutable view cannot grow.
+/// lower-bound-inclusive) and drop it — against an immutable pinned view
+/// it leads the first run and appears nowhere else. A short chunk marks
+/// the view exhausted: an immutable view cannot grow.
 fn merge_scan<K: MapKey, V: MapValue>(
     views: &[View<'_, K, V>],
     lo: &K,
     n: usize,
-    sink: &mut dyn FnMut(&K, &V),
+    sink: &mut dyn FnMut(&[K], &[V]),
 ) {
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, VecDeque};
@@ -391,7 +394,9 @@ fn merge_scan<K: MapKey, V: MapValue>(
     let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(views.len());
     for (i, view) in views.iter().enumerate() {
         let mut buf = VecDeque::with_capacity(chunk);
-        view.scan_from(lo, chunk, &mut |k, v| buf.push_back((k.clone(), v.clone())));
+        view.scan_runs(lo, chunk, &mut |ks, vs| {
+            buf.extend(ks.iter().cloned().zip(vs.iter().cloned()))
+        });
         exhausted[i] = buf.len() < chunk;
         if let Some((k, _)) = buf.front() {
             heap.push(Reverse((k.clone(), i)));
@@ -402,23 +407,107 @@ fn merge_scan<K: MapKey, V: MapValue>(
     while emitted < n {
         let Some(Reverse((_, i))) = heap.pop() else { break };
         let (k, v) = runs[i].pop_front().expect("heap fronts mirror non-empty runs");
-        sink(&k, &v);
+        sink(std::slice::from_ref(&k), std::slice::from_ref(&v));
         emitted += 1;
         if runs[i].is_empty() && !exhausted[i] && emitted < n {
             // Refill past the emitted key: ask for one extra slot to
             // cover the inclusive-restart duplicate.
             let mut seen = 0usize;
             let buf = &mut runs[i];
-            views[i].scan_from(&k, chunk + 1, &mut |kk, vv| {
-                seen += 1;
-                if *kk > k {
-                    buf.push_back((kk.clone(), vv.clone()));
-                }
+            views[i].scan_runs(&k, chunk + 1, &mut |ks, vs| {
+                let skip = usize::from(ks[0] == k);
+                seen += ks.len();
+                buf.extend(ks[skip..].iter().cloned().zip(vs[skip..].iter().cloned()));
             });
             exhausted[i] = seen < chunk + 1;
         }
         if let Some((nk, _)) = runs[i].front() {
             heap.push(Reverse((nk.clone(), i)));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn layout(router: Router<u64>) -> Layout<u64, u64> {
+        let clock: SharedClock = Arc::new(jiffy::DefaultClock::default());
+        let shards = (0..router.shard_count())
+            .map(|_| {
+                Arc::new(JiffyMap::with_clock_and_config(Arc::clone(&clock), Default::default()))
+            })
+            .collect();
+        Layout::new(shards, router, clock)
+    }
+
+    /// Collect a scan's runs, checking the run contract on the way: no
+    /// empty run, keys and values paired, keys strictly ascending within
+    /// and across runs, at most `n` entries in total.
+    fn runs_of(layout: &Layout<u64, u64>, lo: u64, n: usize) -> Vec<Vec<(u64, u64)>> {
+        let mut runs: Vec<Vec<(u64, u64)>> = Vec::new();
+        layout.scan_runs(&lo, n, &mut |ks, vs| {
+            assert!(!ks.is_empty(), "empty run");
+            assert_eq!(ks.len(), vs.len());
+            runs.push(ks.iter().copied().zip(vs.iter().copied()).collect());
+        });
+        let flat: Vec<u64> = runs.iter().flatten().map(|(k, _)| *k).collect();
+        assert!(flat.windows(2).all(|w| w[0] < w[1]), "keys must ascend across runs: {flat:?}");
+        assert!(flat.len() <= n, "{} entries for a limit of {n}", flat.len());
+        assert!(flat.iter().all(|k| *k >= lo));
+        runs
+    }
+
+    /// Run-based twin of `scan_limits_are_exact_across_boundaries`: the
+    /// shared limit is credited per run, so it must cut the run it lands
+    /// in — mid-revision, in whichever shard that is — and no view past
+    /// it may be read.
+    #[test]
+    fn range_runs_are_exact_across_boundaries() {
+        let layout = layout(Router::range(vec![100, 200]));
+        for k in 0..300u64 {
+            layout.put(k, k);
+        }
+        // Starts in shard 0, crosses shard 1 whole, ends inside shard 2.
+        let runs = runs_of(&layout, 95, 110);
+        let flat: Vec<(u64, u64)> = runs.iter().flatten().copied().collect();
+        assert_eq!(flat, (95..205u64).map(|k| (k, k)).collect::<Vec<_>>());
+        // A run never spans a shard boundary (shards are separate maps)...
+        for run in &runs {
+            let (first, last) = (run[0].0, run[run.len() - 1].0);
+            assert_eq!(first / 100, last / 100, "run {first}..={last} spans a shard boundary");
+        }
+        // ...and these are real runs, not one-entry adapters.
+        assert!(runs.iter().any(|r| r.len() > 1), "range routing must emit multi-entry runs");
+        // Every limit from 0 to past the end is honoured exactly.
+        for n in [0usize, 1, 4, 5, 6, 104, 105, 106, 204, 205, 206, 1000] {
+            let got: Vec<u64> = runs_of(&layout, 95, n).iter().flatten().map(|e| e.0).collect();
+            assert_eq!(got, (95..300u64).take(n).collect::<Vec<_>>(), "limit {n}");
+        }
+        assert_eq!(runs_of(&layout, 299, 10), vec![vec![(299, 299)]]);
+        assert!(runs_of(&layout, 300, 10).is_empty());
+    }
+
+    /// Run-based twin of `hash_scan_streams_across_chunk_boundaries`:
+    /// the merge refills each shard's queue from runs (dropping the
+    /// inclusive-restart duplicate that leads the first one) and must
+    /// still emit one sorted, complete, duplicate-free stream.
+    #[test]
+    fn hash_runs_stream_across_chunk_boundaries() {
+        let layout = layout(Router::hash(4));
+        let total = 6000u64; // ~5 refills of MERGE_CHUNK per shard
+        for k in 0..total {
+            layout.put(k, k * 3);
+        }
+        let flat = |lo: u64, n: usize| -> Vec<(u64, u64)> {
+            runs_of(&layout, lo, n).into_iter().flatten().collect()
+        };
+        assert_eq!(flat(0, usize::MAX), (0..total).map(|k| (k, k * 3)).collect::<Vec<_>>());
+        assert_eq!(flat(1234, 2000), (1234..3234u64).map(|k| (k, k * 3)).collect::<Vec<_>>());
+        // Limits at and around a refill boundary.
+        for n in [MERGE_CHUNK - 1, MERGE_CHUNK, MERGE_CHUNK + 1, 4 * MERGE_CHUNK + 1] {
+            assert_eq!(flat(7, n).len(), n, "limit {n}");
+        }
+        assert_eq!(flat(5998, 10), vec![(5998, 17994), (5999, 17997)]);
     }
 }

@@ -694,6 +694,43 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
         delta_ops
     }
 
+    /// The one scan routine: up to `n` entries from `lo`, read from a
+    /// consistent cut of one routing generation. The layout's runs are
+    /// buffered — straight into the vector a `scan_collect` caller gets
+    /// back — and only released once the generation is re-checked: if it
+    /// moved while we read, a shard we consulted may have been retired
+    /// by a cutover, and entries already handed to a sink could not be
+    /// taken back.
+    fn scan_validated(&self, lo: &K, n: usize) -> Vec<(K, V)> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let guard = &ebr::pin();
+        loop {
+            let shared = self.state.load(Ordering::SeqCst, guard);
+            // SAFETY: see `help_pending`.
+            let epoch = unsafe { shared.deref() };
+            if epoch.migration.is_some() {
+                // A scan's range is unbounded above; conservatively
+                // complete any pending migration rather than splitting
+                // hairs over whether it intersects.
+                self.help(shared, epoch, guard);
+                continue;
+            }
+            // `n` is a limit, possibly an untrusted one: it buys a
+            // capped reservation, the scan's yield sizes the rest.
+            let mut buf: Vec<(K, V)> = Vec::with_capacity(n.min(SCAN_RESERVE));
+            epoch.layout.scan_runs(lo, n, &mut |ks, vs| {
+                buf.extend(ks.iter().cloned().zip(vs.iter().cloned()))
+            });
+            // Same generation across the whole scan => the consistent
+            // cut the layout pinned is still the live truth.
+            if self.state.load(Ordering::SeqCst, guard) == shared {
+                return buf;
+            }
+        }
+    }
+
     /// Run `apply` against a routing epoch with no migration covering
     /// `affected`, helping any that is. Writes register on their epoch's
     /// gate across the shard operation and re-validate the epoch after
@@ -735,6 +772,9 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
         }
     }
 }
+
+/// Most entries a scan reserves room for before it has found any.
+const SCAN_RESERVE: usize = 1024;
 
 /// The owned bounds of shard `shard` under `router` (range mode).
 fn bounds_of<K: Ord + Clone + std::hash::Hash>(
@@ -829,32 +869,17 @@ impl<K: MapKey, V: MapValue + PartialEq> OrderedIndex<K, V> for ElasticJiffy<K, 
     }
 
     fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
-        if n == 0 {
-            return;
+        for (k, v) in &self.scan_validated(lo, n) {
+            sink(k, v);
         }
-        let guard = &ebr::pin();
-        loop {
-            let shared = self.state.load(Ordering::SeqCst, guard);
-            // SAFETY: see `help_pending`.
-            let epoch = unsafe { shared.deref() };
-            if epoch.migration.is_some() {
-                // A scan's range is unbounded above; conservatively
-                // complete any pending migration rather than splitting
-                // hairs over whether it intersects.
-                self.help(shared, epoch, guard);
-                continue;
-            }
-            let mut buf: Vec<(K, V)> = Vec::new();
-            epoch.layout.scan_from(lo, n, &mut |k, v| buf.push((k.clone(), v.clone())));
-            // Same generation across the whole scan => the consistent
-            // cut the layout pinned is still the live truth; emit.
-            if self.state.load(Ordering::SeqCst, guard) == shared {
-                for (k, v) in &buf {
-                    sink(k, v);
-                }
-                return;
-            }
-        }
+    }
+
+    // `scan_runs` is the trait default (one-entry runs over `scan_from`):
+    // a validated scan is a vector of pairs, and `scan_collect` — which
+    // hands that vector over whole — is the fast way to read a range here.
+
+    fn scan_collect(&self, lo: &K, n: usize) -> Vec<(K, V)> {
+        self.scan_validated(lo, n)
     }
 
     fn batch_update(&self, batch: Batch<K, V>) {
@@ -1077,6 +1102,25 @@ mod tests {
         for probe in (0..1000).step_by(41) {
             assert_eq!(map.get(&probe), model.get(&probe).copied(), "get {probe}");
         }
+    }
+
+    /// A scan's `n` is a limit — `Request::Scan` passes a client's
+    /// number straight in — so it may buy a capped reservation only, and
+    /// the vector `scan_collect` returns is the validated buffer itself.
+    #[test]
+    fn scan_limit_sizes_no_allocation() {
+        let map = elastic(vec![500]);
+        for k in 495..505u64 {
+            map.put(k, k);
+        }
+        let got = map.scan_collect(&0, usize::MAX);
+        assert_eq!(got, (495..505u64).map(|k| (k, k)).collect::<Vec<_>>());
+        assert!(got.capacity() <= SCAN_RESERVE, "limit sized an allocation: {}", got.capacity());
+        // A long scan outgrows the reservation and is still exact.
+        for k in 0..3 * SCAN_RESERVE as u64 {
+            map.put(k, k);
+        }
+        assert_eq!(map.scan_collect(&1, usize::MAX).len(), 3 * SCAN_RESERVE - 1);
     }
 
     #[test]

@@ -25,6 +25,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> OrderedIndex<K, V> for JiffyMap<K,
         JiffyMap::scan_from(self, lo, n, sink)
     }
 
+    fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
+        self.snapshot().scan_runs(lo, n, sink)
+    }
+
     fn batch_update(&self, batch: Batch<K, V>) {
         JiffyMap::batch(self, batch)
     }

@@ -1,7 +1,7 @@
 //! Iteration over snapshots.
 //!
-//! Range scans in Jiffy deliver entries through a callback
-//! ([`Snapshot::scan_from`]); this module layers a standard Rust
+//! Range scans in Jiffy deliver runs of entries to a callback
+//! ([`Snapshot::scan_runs`]); this module layers a standard Rust
 //! [`Iterator`] on top by fetching entries in chunks and resuming each
 //! chunk after the last key seen — the snapshot guarantees the view
 //! cannot change between chunks, so the composition is still a
@@ -10,6 +10,7 @@
 use jiffy_clock::VersionClock;
 
 use crate::inner::{MapKey, MapValue};
+use crate::locate::Seek;
 use crate::map::Snapshot;
 
 /// How many entries [`SnapshotIter`] fetches per internal scan.
@@ -39,20 +40,15 @@ impl<'s, 'a, K: MapKey, V: MapValue, C: VersionClock> SnapshotIter<'s, 'a, K, V,
 
     fn fill(&mut self, from: Option<K>, inclusive: bool) {
         let mut out: Vec<(K, V)> = Vec::with_capacity(CHUNK);
-        match from {
-            Some(lo) => {
-                // Fetch one extra so an exclusive resume can drop `lo`.
-                let want = if inclusive { CHUNK } else { CHUNK + 1 };
-                self.snap.scan_from(&lo, want, &mut |k, v| {
-                    if inclusive || k != &lo {
-                        out.push((k.clone(), v.clone()));
-                    }
-                });
-            }
-            None => {
-                self.snap.scan_min_into(CHUNK, &mut out);
-            }
-        }
+        // An exclusive resume fetches one extra entry and drops `from`
+        // itself: the snapshot cannot change, so it leads the first run
+        // (and, keys ascending, no later one).
+        let want = if inclusive { CHUNK } else { CHUNK + 1 };
+        let seek = from.as_ref().map_or(Seek::Min, Seek::Key);
+        self.snap.runs(seek, None, want, &mut |keys, values| {
+            let skip = usize::from(!inclusive && keys.first() == from.as_ref());
+            out.extend(keys[skip..].iter().cloned().zip(values[skip..].iter().cloned()));
+        });
         if out.len() < CHUNK {
             self.exhausted = true;
         }

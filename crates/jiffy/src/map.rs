@@ -7,6 +7,7 @@ use jiffy_clock::{DefaultClock, VersionClock};
 
 use crate::config::JiffyConfig;
 use crate::inner::{JiffyInner, MapKey, MapValue};
+use crate::locate::Seek;
 use crate::snapshot::SnapSlot;
 
 /// A lock-free, linearizable ordered key-value map with atomic batch
@@ -238,36 +239,75 @@ impl<'a, K: MapKey, V: MapValue, C: VersionClock> Snapshot<'a, K, V, C> {
         self.map.inner.get_at(key, self.version)
     }
 
-    /// Visit up to `n` entries with key `>= lo`, ascending.
-    pub fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
+    /// Visit up to `n` entries with key `>= lo`, ascending, as *runs*:
+    /// each call of `sink` receives a slice of consecutive keys and the
+    /// equally long slice of their values — one revision's share of the
+    /// scan, handed out without a per-entry call or copy. This is the
+    /// fast way to read a range; every other scan method of this type is
+    /// a thin consumer of it.
+    ///
+    /// The run contract: no run is empty; keys ascend strictly within a
+    /// run and from one run to the next; the runs total at most `n`
+    /// entries (the last one is truncated to fit). The slices point into
+    /// a revision kept alive by the scan's epoch pin, so they are
+    /// borrowed **for the duration of the sink call only** — the sink's
+    /// higher-ranked signature (`for<'r> FnMut(&'r [K], &'r [V])`) makes
+    /// storing one a compile error; clone what must outlive the call.
+    ///
+    /// ```
+    /// let map = jiffy::JiffyMap::new();
+    /// for k in 0..1000u64 {
+    ///     map.put(k, k * 2);
+    /// }
+    /// let mut sum = 0u64;
+    /// map.snapshot().scan_runs(&10, 500, &mut |keys, values| {
+    ///     assert_eq!(keys.len(), values.len());
+    ///     sum += values.iter().sum::<u64>();
+    /// });
+    /// assert_eq!(sum, (10..510u64).map(|k| k * 2).sum());
+    /// ```
+    pub fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
+        self.runs(Seek::Key(lo), None, n, sink)
+    }
+
+    /// The one scan every method below goes through: runs of
+    /// `[from, hi)`, at most `n` entries in total.
+    pub(crate) fn runs(
+        &self,
+        from: Seek<'_, K>,
+        hi: Option<&K>,
+        n: usize,
+        sink: &mut dyn FnMut(&[K], &[V]),
+    ) {
         if n == 0 {
             return;
         }
         let mut left = n;
-        self.map.inner.scan_at(lo, self.version, &mut |k, v| {
-            sink(k, v);
-            left -= 1;
+        self.map.inner.scan(from, hi, self.version, &mut |keys, values| {
+            let take = keys.len().min(left);
+            sink(&keys[..take], &values[..take]);
+            left -= take;
             left > 0
         });
+    }
+
+    /// Visit up to `n` entries with key `>= lo`, ascending, one at a
+    /// time (an adapter over [`scan_runs`](Snapshot::scan_runs)).
+    pub fn scan_from(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&K, &V)) {
+        self.scan_runs(lo, n, &mut per_entry(sink))
     }
 
     /// Collect up to `n` entries with key `>= lo`.
     pub fn range(&self, lo: &K, n: usize) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        self.scan_from(lo, n, &mut |k, v| out.push((k.clone(), v.clone())));
+        self.scan_runs(lo, n, &mut collect_into(&mut out));
         out
     }
 
     /// Collect the entries in `[lo, hi)`.
     pub fn range_bounded(&self, lo: &K, hi: &K) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        self.map.inner.scan_at(lo, self.version, &mut |k, v| {
-            if k >= hi {
-                return false;
-            }
-            out.push((k.clone(), v.clone()));
-            true
-        });
+        self.runs(Seek::Key(lo), Some(hi), usize::MAX, &mut collect_into(&mut out));
         out
     }
 
@@ -283,48 +323,22 @@ impl<'a, K: MapKey, V: MapValue, C: VersionClock> Snapshot<'a, K, V, C> {
     /// None`), which matters because a shard's range is half-open at both
     /// extremes.
     pub fn export_range(&self, lo: Option<&K>, hi: Option<&K>, sink: &mut dyn FnMut(&K, &V)) {
-        let mut visit = |k: &K, v: &V| -> bool {
-            if let Some(hi) = hi {
-                if k >= hi {
-                    return false;
-                }
-            }
-            sink(k, v);
-            true
-        };
-        match lo {
-            None => self.map.inner.scan_min(self.version, &mut visit),
-            Some(lo) => self.map.inner.scan_at(lo, self.version, &mut visit),
-        }
+        self.runs(lo.map_or(Seek::Min, Seek::Key), hi, usize::MAX, &mut per_entry(sink))
     }
 
-    /// Exact number of entries at this snapshot (O(n): scans).
+    /// Exact number of entries at this snapshot (O(nodes): sums the run
+    /// lengths, touching no entry).
     pub fn len(&self) -> usize {
         let mut n = 0usize;
-        if let Some(first) = self.first_key() {
-            self.map.inner.scan_at(&first, self.version, &mut |_, _| {
-                n += 1;
-                true
-            });
-        }
+        self.runs(Seek::Min, None, usize::MAX, &mut |keys, _| n += keys.len());
         n
     }
 
     /// Whether the snapshot holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.first_key().is_none()
-    }
-
-    fn first_key(&self) -> Option<K> {
-        // Scan from the base node's range start: walk from the smallest
-        // representable position by starting at the base node. We emulate
-        // "-inf" by scanning from the first node's first entry.
-        let mut first = None;
-        self.map.inner.scan_min(self.version, &mut |k, _| {
-            first = Some(k.clone());
-            false
-        });
-        first
+        let mut empty = true;
+        self.runs(Seek::Min, None, 1, &mut |_, _| empty = false);
+        empty
     }
 
     /// Iterate all entries of the snapshot, ascending (chunked
@@ -336,18 +350,6 @@ impl<'a, K: MapKey, V: MapValue, C: VersionClock> Snapshot<'a, K, V, C> {
     /// Iterate entries with key `>= lo`, ascending.
     pub fn iter_from(&self, lo: &K) -> crate::iter::SnapshotIter<'_, 'a, K, V, C> {
         crate::iter::SnapshotIter::new(self, Some(lo.clone()))
-    }
-
-    /// Collect up to `n` entries from the start of the key space
-    /// (iterator support; the public `range` APIs need a lower bound).
-    pub(crate) fn scan_min_into(&self, n: usize, out: &mut Vec<(K, V)>) {
-        if n == 0 {
-            return;
-        }
-        self.map.inner.scan_min(self.version, &mut |k, v| {
-            out.push((k.clone(), v.clone()));
-            out.len() < n
-        });
     }
 
     /// Advance the snapshot to "now", releasing pinned history. The
@@ -372,6 +374,20 @@ impl<'a, K: MapKey, V: MapValue, C: VersionClock> Snapshot<'a, K, V, C> {
             self.version = version;
         }
     }
+}
+
+/// A run sink that feeds a per-entry sink.
+fn per_entry<'s, K, V>(sink: &'s mut dyn FnMut(&K, &V)) -> impl FnMut(&[K], &[V]) + 's {
+    move |keys, values| {
+        for (k, v) in keys.iter().zip(values) {
+            sink(k, v);
+        }
+    }
+}
+
+/// A run sink that clones every entry onto the end of `out`.
+fn collect_into<K: Clone, V: Clone>(out: &mut Vec<(K, V)>) -> impl FnMut(&[K], &[V]) + '_ {
+    move |keys, values| out.extend(keys.iter().cloned().zip(values.iter().cloned()))
 }
 
 impl<'a, K: MapKey, V: MapValue, C: VersionClock> Drop for Snapshot<'a, K, V, C> {

@@ -186,13 +186,11 @@ impl<K: Ord + Clone + Hash, V: Clone> RevData<K, V> {
     }
 
     #[inline]
-    #[allow(dead_code)] // exercised by unit/property tests
     pub(crate) fn keys(&self) -> &[K] {
         &self.keys
     }
 
     #[inline]
-    #[allow(dead_code)] // exercised by unit/property tests
     pub(crate) fn values(&self) -> &[V] {
         &self.values
     }
@@ -236,11 +234,6 @@ impl<K: Ord + Clone + Hash, V: Clone> RevData<K, V> {
     #[inline]
     pub(crate) fn lower_bound(&self, lo: &K) -> usize {
         self.keys.partition_point(|k| k < lo)
-    }
-
-    #[inline]
-    pub(crate) fn entry(&self, i: usize) -> (&K, &V) {
-        (&self.keys[i], &self.values[i])
     }
 
     /// Clone into an entries vector (ascending).

@@ -4,19 +4,30 @@
 //! level-0 list from the node covering the start key (or the base node),
 //! one `locate` per node (`locate.rs`, `ForScan`: the validated
 //! successor is a real node, never a temp split), resolving each
-//! node's revision list at the snapshot and emitting entries inside the
-//! node's *window* — `[max(lo, node.key), successor.key)` at observation
-//! time. Windows partition the keyspace, so concurrent splits/merges can
-//! neither duplicate nor lose entries: any revision created after the
-//! snapshot has a version above it and is filtered out, and pre-snapshot
-//! data stays reachable through split/merge revision branches.
+//! node's revision list at the snapshot and emitting the entries inside
+//! the node's *window* — `[max(lo, node.key), min(hi, successor.key))`
+//! at observation time. Windows partition the keyspace, so concurrent
+//! splits/merges can neither duplicate nor lose entries: any revision
+//! created after the snapshot has a version above it and is filtered
+//! out, and pre-snapshot data stays reachable through split/merge
+//! revision branches.
+//!
+//! **The unit of emission is a run, not an entry.** A revision stores
+//! its keys and its values as two immutable sorted arrays, so a window
+//! is two binary searches and the sink receives the sub-slices
+//! `(&keys[start..end], &values[start..end])` — no per-entry compare,
+//! no per-entry indirect call. Runs are never empty, keys ascend
+//! strictly within a run and from one run to the next, and the slices
+//! point into an epoch-protected revision: they are valid for the
+//! duration of the sink call only (the sink's higher-ranked signature
+//! makes keeping one a compile error).
 //!
 //! When the resolution walk has to *skip* a merge revision (its version
 //! exceeds the snapshot), the merged node's history is only reachable
 //! through the revision's two branches; the resolver recurses into both
 //! with the window split at `right_key` — this materializes the paper's
 //! "bulk revision" ("constructed by recursively traversing all
-//! successors of all the encountered merge revisions").
+//! successors of all the encountered merge revisions") as two runs.
 
 use std::sync::atomic::Ordering;
 
@@ -28,19 +39,17 @@ use crate::locate::{ForScan, Seek};
 use crate::node::Revision;
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
-    /// Visit entries with key `>= lo` at snapshot `snap`, ascending, until
-    /// `sink` returns `false` or the key space is exhausted.
-    pub(crate) fn scan_at(&self, lo: &K, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
-        self.scan(Seek::Key(lo), snap, sink)
-    }
-
-    /// Scan from the beginning of the key space (snapshot `len()` /
-    /// iteration support; there is no "-inf" key to pass to `scan_at`).
-    pub(crate) fn scan_min(&self, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
-        self.scan(Seek::Min, snap, sink)
-    }
-
-    fn scan(&self, from: Seek<'_, K>, snap: i64, sink: &mut dyn FnMut(&K, &V) -> bool) {
+    /// Emit the entries of `[from, hi)` (`hi = None`: unbounded) at
+    /// snapshot `snap` as ascending runs, until `sink` returns `false`
+    /// or the range is exhausted. `Seek::Min` starts at the base node,
+    /// whose range has no lower key to name.
+    pub(crate) fn scan(
+        &self,
+        from: Seek<'_, K>,
+        hi: Option<&K>,
+        snap: i64,
+        sink: &mut dyn FnMut(&[K], &[V]) -> bool,
+    ) {
         debug_assert!(snap >= 0);
         let guard = &epoch::pin();
         // `None` stands for -inf: the base node's range has no lower key.
@@ -54,41 +63,39 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             let found = self.locate(cursor.as_ref().map_or(Seek::Min, Seek::Key), &ForScan, guard);
             self.note_read(found.head_s(), guard);
             let upper = found.upper();
-            let mut keep_going = true;
-            self.resolve_window(
+            // The scan's own bound clips the window it falls into, and
+            // that window is the last one.
+            let last = upper.map_or(true, |u| hi.is_some_and(|h| u >= h));
+            let window_hi = if last { hi } else { upper };
+            let keep_going = self.resolve_window(
                 found.node_s(),
                 found.head_s(),
                 snap,
                 cursor.as_ref(),
-                upper,
-                &mut |k, v| {
-                    keep_going = sink(k, v);
-                    keep_going
-                },
+                window_hi,
+                sink,
                 guard,
             );
-            if !keep_going {
+            if !keep_going || last {
                 return;
             }
-            match upper {
-                Some(u) => cursor = Some(u.clone()),
-                None => return,
-            }
+            cursor = upper.cloned();
         }
     }
 
     /// Resolve a revision list at `snap` within the window
     /// `[lo, hi)` (`lo` inclusive if `Some`, `hi` exclusive if `Some`) and
-    /// emit the entries ascending. Returns `false` if the sink stopped.
+    /// emit its entries as one run (one per branch below a skipped merge
+    /// revision). Returns `false` if the sink stopped.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resolve_window<'g>(
+    fn resolve_window<'g>(
         &self,
         node_s: Shared<'g, crate::node::Node<K, V>>,
         rev_start: Shared<'g, Revision<K, V>>,
         snap: i64,
         lo: Option<&K>,
         hi: Option<&K>,
-        sink: &mut dyn FnMut(&K, &V) -> bool,
+        sink: &mut dyn FnMut(&[K], &[V]) -> bool,
         guard: &'g Guard,
     ) -> bool {
         // Degenerate window.
@@ -111,21 +118,11 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 v = rev.version();
             }
             if v >= 0 && v <= snap {
-                // Found the revision for this window: emit its entries.
+                // Found the revision for this window: emit its slice.
                 let data = &rev.data;
                 let start = lo.map_or(0, |l| data.lower_bound(l));
-                for i in start..data.len() {
-                    let (k, val) = data.entry(i);
-                    if let Some(h) = hi {
-                        if k >= h {
-                            break;
-                        }
-                    }
-                    if !sink(k, val) {
-                        return false;
-                    }
-                }
-                return true;
+                let end = hi.map_or(data.len(), |h| data.lower_bound(h));
+                return start >= end || sink(&data.keys()[start..end], &data.values()[start..end]);
             }
             // |v| > snap: skip, splitting the window at merge joins.
             if let Some(mi) = rev.as_merge() {

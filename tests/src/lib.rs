@@ -63,6 +63,18 @@ impl XorShift {
     }
 }
 
+/// Raises a stop flag when dropped, so a worker looping on it is
+/// released on every way out of the scope that started it — a panicking
+/// assertion included (`std::thread::scope` would otherwise wait on the
+/// worker forever).
+pub struct StopOnDrop<'a>(pub &'a std::sync::atomic::AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
 /// Run `body` on its own thread under a wall-clock ceiling. A body that
 /// has not returned after `secs` seconds fails the calling test by name
 /// — after dumping the `jiffy-obs` flight recorder — instead of hanging

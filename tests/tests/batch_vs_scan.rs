@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use index_api::{Batch, BatchOp};
 use jiffy::{JiffyConfig, JiffyMap};
-use system_tests::{with_deadline, XorShift};
+use system_tests::{with_deadline, StopOnDrop, XorShift};
 
 /// Batches between two exact comparisons: few enough that the batcher
 /// has rewritten only a fraction of the key space since a loss.
@@ -51,14 +51,6 @@ fn assert_matches_table(map: &JiffyMap<u64, u64>, acked: &[Option<u64>], seed: u
         lost.len(),
         &lost[..lost.len().min(16)]
     );
-}
-
-struct StopOnDrop<'a>(&'a AtomicBool);
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
 }
 
 /// Prefill `0..keys` with `k -> k`, then race one batcher (batches of

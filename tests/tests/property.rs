@@ -104,10 +104,17 @@ fn indices_match_model() {
                         index.batch_update(batch);
                     }
                     MapOp::Scan(lo, n) => {
-                        let got = index.scan_collect(lo, *n);
                         let want: Vec<(u64, u64)> =
                             model.range(lo..).take(*n).map(|(k, v)| (*k, *v)).collect();
-                        assert_eq!(got, want, "case {case}: {} scan from {lo}", index.name());
+                        let ctx = format!("case {case}: {} scan from {lo}", index.name());
+                        // All three scan surfaces agree, whether the index
+                        // overrides them or inherits the adapters.
+                        assert_eq!(index.scan_collect(lo, *n), want, "{ctx}");
+                        let mut got = Vec::new();
+                        index.scan_from(lo, *n, &mut |k, v| got.push((*k, *v)));
+                        assert_eq!(got, want, "{ctx} (scan_from)");
+                        let runs = gather_runs(*lo, *n, |sink| index.scan_runs(lo, *n, sink));
+                        assert_eq!(runs.concat(), want, "{ctx} (scan_runs)");
                     }
                 }
             }
@@ -176,6 +183,238 @@ fn jiffy_tiny_revisions_with_snapshots() {
             assert_eq!(got, want, "case {case}: snapshot drifted");
         }
     }
+}
+
+// --- The run contract (`scan_runs`) -------------------------------------
+
+/// Gather the runs a scan from `lo` limited to `n` emits, checking the
+/// contract on the way: no empty run, keys and values paired, keys `>=
+/// lo` and strictly ascending within and across runs, at most `n`
+/// entries in total.
+fn gather_runs(
+    lo: u64,
+    n: usize,
+    scan: impl FnOnce(&mut dyn FnMut(&[u64], &[u64])),
+) -> Vec<Vec<(u64, u64)>> {
+    let mut runs: Vec<Vec<(u64, u64)>> = Vec::new();
+    scan(&mut |ks, vs| {
+        assert!(!ks.is_empty(), "empty run");
+        assert_eq!(ks.len(), vs.len(), "keys and values must pair up");
+        runs.push(ks.iter().copied().zip(vs.iter().copied()).collect());
+    });
+    let keys: Vec<u64> = runs.iter().flatten().map(|(k, _)| *k).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must ascend across runs: {keys:?}");
+    assert!(keys.iter().all(|k| *k >= lo), "a key below lo = {lo}: {keys:?}");
+    assert!(keys.len() <= n, "{} entries for a limit of {n}", keys.len());
+    runs
+}
+
+/// The `tiny_config` shape of the engine's own suites: revisions of ~4
+/// entries, so a few hundred keys cross splits and merges constantly.
+fn tiny_map() -> jiffy::JiffyMap<u64, u64> {
+    jiffy::JiffyMap::with_config(jiffy::JiffyConfig {
+        min_revision_size: 2,
+        max_revision_size: 8,
+        fixed_revision_size: Some(4),
+        ..Default::default()
+    })
+}
+
+fn model_range(model: &BTreeMap<u64, u64>, lo: u64, n: usize) -> Vec<(u64, u64)> {
+    model.range(lo..).take(n).map(|(k, v)| (*k, *v)).collect()
+}
+
+/// For random `lo`/`n` over a structure churned by splits and merges,
+/// the concatenation of `scan_runs` equals `scan_from` equals the model
+/// — with `lo` on, inside, between and above the revisions, `n` cutting
+/// a run in the middle, and the bounded consumers (`range_bounded`,
+/// `export_range`, `len`, `iter_from`) clipping at `hi` the same way.
+#[test]
+fn scan_runs_match_scan_from_and_model() {
+    for case in 0..12u64 {
+        let mut rng = XorShift(0x5CA9 ^ (case.wrapping_mul(0x9E3779B97F4A7C15) | 1));
+        let map = tiny_map();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        // Keys are multiples of 3, so two in three probes fall between.
+        for i in 0..3000u64 {
+            let k = (rng.next() % 400) * 3;
+            if rng.next() % 3 == 0 {
+                assert_eq!(map.remove(&k), model.remove(&k), "case {case}");
+            } else {
+                map.put(k, i);
+                model.insert(k, i);
+            }
+        }
+        let snap = map.snapshot();
+        let all = gather_runs(0, usize::MAX, |sink| snap.scan_runs(&0, usize::MAX, sink));
+        assert_eq!(all.concat(), model_range(&model, 0, usize::MAX), "case {case}: full scan");
+        assert!(all.len() > 8, "case {case}: churn must leave many nodes, got {}", all.len());
+        assert!(all.iter().any(|r| r.len() > 1), "case {case}: runs must be real slices");
+        assert_eq!(snap.len(), model.len(), "case {case}: len sums the runs");
+        assert!(!snap.is_empty());
+
+        // `lo` at every run's first key, one past it (inside, or between
+        // revisions when the run has one entry), and just below it
+        // (between keys): the first run is clipped by lo, the rest whole.
+        // `n` one short of the first run cuts it in the middle; one past
+        // it takes a single entry of the next.
+        for run in all.iter().step_by(3) {
+            for lo in [run[0].0, run[0].0 + 1, run[0].0.saturating_sub(1)] {
+                let got = gather_runs(lo, usize::MAX, |sink| snap.scan_runs(&lo, usize::MAX, sink));
+                assert_eq!(
+                    got.concat(),
+                    model_range(&model, lo, usize::MAX),
+                    "case {case} lo {lo}"
+                );
+                let Some(first) = got.first().map(Vec::len) else { continue };
+                for n in [first - 1, first, first + 1] {
+                    let cut = gather_runs(lo, n, |sink| snap.scan_runs(&lo, n, sink));
+                    assert_eq!(
+                        cut.concat(),
+                        model_range(&model, lo, n),
+                        "case {case} lo {lo} n {n}"
+                    );
+                    let want_runs = match n.cmp(&first) {
+                        std::cmp::Ordering::Less => usize::from(n > 0),
+                        std::cmp::Ordering::Equal => 1,
+                        std::cmp::Ordering::Greater => got.len().min(2),
+                    };
+                    assert_eq!(cut.len(), want_runs, "case {case} lo {lo} n {n}: run boundaries");
+                }
+            }
+        }
+        // Above every revision, and the zero limit.
+        assert!(gather_runs(1200, 9, |sink| snap.scan_runs(&1200, 9, sink)).is_empty());
+        assert!(gather_runs(0, 0, |sink| snap.scan_runs(&0, 0, sink)).is_empty());
+
+        for _ in 0..200 {
+            let lo = rng.next() % 1300;
+            let n = match rng.next() % 4 {
+                0 => usize::MAX,
+                1 => (rng.next() % 8) as usize,
+                _ => (rng.next() % 300) as usize,
+            };
+            let want = model_range(&model, lo, n);
+            let runs = gather_runs(lo, n, |sink| snap.scan_runs(&lo, n, sink));
+            assert_eq!(runs.concat(), want, "case {case}: runs from {lo} limit {n}");
+            let mut per_entry = Vec::new();
+            snap.scan_from(&lo, n, &mut |k, v| per_entry.push((*k, *v)));
+            assert_eq!(per_entry, want, "case {case}: scan_from {lo} limit {n}");
+            assert_eq!(snap.range(&lo, n), want);
+            assert_eq!(snap.iter_from(&lo).take(n).collect::<Vec<_>>(), want);
+
+            // The upper bound clips by binary search inside whichever
+            // window it falls into — on a key, between keys, at or
+            // below `lo` (empty), past the end.
+            let hi = rng.next() % 1300;
+            let bounded: Vec<(u64, u64)> =
+                model.range(lo..).take_while(|(k, _)| **k < hi).map(|(k, v)| (*k, *v)).collect();
+            assert_eq!(snap.range_bounded(&lo, &hi), bounded, "case {case}: [{lo}, {hi})");
+            let mut exported = Vec::new();
+            snap.export_range(Some(&lo), Some(&hi), &mut |k, v| exported.push((*k, *v)));
+            assert_eq!(exported, bounded, "case {case}: export [{lo}, {hi})");
+            let mut below = Vec::new();
+            snap.export_range(None, Some(&hi), &mut |k, v| below.push((*k, *v)));
+            assert_eq!(below, model.range(..hi).map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+        }
+    }
+}
+
+/// A snapshot taken *before* nodes merge keeps reading the pre-merge
+/// revisions: the resolver skips the merge revision (its version is
+/// above the snapshot) and recurses into both branches with the window
+/// split at the merged-away node's key — two runs for one node.
+#[test]
+fn scan_runs_split_the_window_under_a_skipped_merge() {
+    let map = tiny_map();
+    for k in 0..400u64 {
+        map.put(k, k);
+    }
+    let before = map.snapshot();
+    let want: Vec<(u64, u64)> = (0..400u64).map(|k| (k, k)).collect();
+    let runs_before = gather_runs(0, usize::MAX, |s| before.scan_runs(&0, usize::MAX, s));
+    assert_eq!(runs_before.concat(), want);
+    // Empty most of the map: the survivors' nodes merge towards lower keys.
+    for k in (0..400u64).filter(|k| k % 16 != 0) {
+        map.remove(&k);
+    }
+    let nodes_now = map.debug_stats().nodes;
+    assert!(nodes_now < runs_before.len(), "the removals must have merged nodes");
+    // The old snapshot still reads its own instant, run by run...
+    let runs = gather_runs(0, usize::MAX, |s| before.scan_runs(&0, usize::MAX, s));
+    assert_eq!(runs.concat(), want, "a pre-merge snapshot drifted");
+    // ...and more runs than there are nodes left means some node's
+    // window was split below a skipped merge revision.
+    assert!(
+        runs.len() > nodes_now,
+        "{} runs over {nodes_now} nodes: no window was split at a merge",
+        runs.len()
+    );
+    // Limits and bounds land inside the split windows too.
+    for (lo, n) in [(0u64, 7usize), (13, 40), (200, 1), (399, 5)] {
+        let got = gather_runs(lo, n, |s| before.scan_runs(&lo, n, s)).concat();
+        assert_eq!(got, want[lo as usize..(lo as usize + n).min(400)], "lo {lo} n {n}");
+    }
+    assert_eq!(before.range_bounded(&5, &300), want[5..300]);
+    // A fresh snapshot sees only the survivors.
+    let live = gather_runs(0, usize::MAX, |s| map.snapshot().scan_runs(&0, usize::MAX, s));
+    assert_eq!(live.concat(), (0..400u64).step_by(16).map(|k| (k, k)).collect::<Vec<_>>());
+}
+
+/// A snapshot's runs never change: while a writer overwrites, removes
+/// and batches across the whole key space (splitting and merging nodes
+/// under the scanner), every scan of one snapshot reads the same map.
+#[test]
+fn scan_runs_of_a_snapshot_are_stable_under_a_writer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let map = tiny_map();
+    for k in 0..600u64 {
+        map.put(k * 2, 0);
+    }
+    let stop = AtomicBool::new(false);
+    let started = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut rng = XorShift(0xB17E);
+            started.wait();
+            let mut stamp = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                let k = rng.next() % 1200;
+                match rng.next() % 4 {
+                    0 => {
+                        map.remove(&k);
+                    }
+                    1 => map.batch(Batch::new(
+                        (0..6).map(|j| BatchOp::Put((k + j * 97) % 1200, stamp)).collect(),
+                    )),
+                    _ => {
+                        map.put(k, stamp);
+                    }
+                }
+                stamp += 1;
+            }
+        });
+        // Stop the writer even if an assertion below unwinds.
+        let _stop = system_tests::StopOnDrop(&stop);
+        started.wait();
+        let mut rng = XorShift(0x5EED);
+        for round in 0..40 {
+            let snap = map.snapshot();
+            let frozen: BTreeMap<u64, u64> =
+                gather_runs(0, usize::MAX, |sink| snap.scan_runs(&0, usize::MAX, sink))
+                    .concat()
+                    .into_iter()
+                    .collect();
+            for _ in 0..25 {
+                let lo = rng.next() % 1250;
+                let n = (rng.next() % 400) as usize;
+                let got = gather_runs(lo, n, |sink| snap.scan_runs(&lo, n, sink)).concat();
+                assert_eq!(got, model_range(&frozen, lo, n), "round {round}: snapshot moved");
+            }
+        }
+    });
 }
 
 /// The zipfian sampler stays in range for arbitrary key spaces.
