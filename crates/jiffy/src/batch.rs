@@ -173,17 +173,17 @@ impl<K: Ord + Clone, V: Clone> BatchDescriptor<K, V> {
         j
     }
 
-    /// The ops `[i, j)` (descending) as ascending deltas for
-    /// [`RevData::apply_deltas`](crate::revision::RevData::apply_deltas).
-    pub(crate) fn group_deltas(&self, i: usize, j: usize) -> Vec<Delta<K, V>> {
-        self.ops[i..j]
-            .iter()
-            .rev()
-            .map(|op| match op {
-                BatchOp::Put(k, v) => Delta::Put(k.clone(), v.clone()),
-                BatchOp::Remove(k) => Delta::Remove(k.clone()),
-            })
-            .collect()
+    /// The ops `[i, j)` (stored descending) as ascending deltas, borrowed
+    /// straight from the descriptor for the revision constructors.
+    pub(crate) fn group(
+        &self,
+        i: usize,
+        j: usize,
+    ) -> impl Iterator<Item = Delta<'_, K, V>> + Clone {
+        self.ops[i..j].iter().rev().map(|op| match op {
+            BatchOp::Put(k, v) => Delta::Put(k, v),
+            BatchOp::Remove(k) => Delta::Remove(k),
+        })
     }
 }
 
@@ -232,8 +232,7 @@ mod tests {
     #[test]
     fn group_deltas_ascending() {
         let d = desc(&[2, 4, 6]);
-        let deltas = d.group_deltas(0, 2); // ops {6, 4} -> deltas [4, 6]
-        let keys: Vec<u64> = deltas.iter().map(|d| *d.key()).collect();
+        let keys: Vec<u64> = d.group(0, 2).map(|d| *d.key()).collect(); // ops {6, 4}
         assert_eq!(keys, vec![4, 6]);
     }
 

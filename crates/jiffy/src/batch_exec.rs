@@ -149,18 +149,20 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 continue;
             }
 
-            // Install this group.
+            // Install this group: count it, let the policy choose, then
+            // build only the revision(s) that update needs.
+            head.data.prefetch();
             let j = desc.group_end(i, &node.key);
             debug_assert!(j > i, "the located node must cover the current key");
-            let new_data = head.data.apply_deltas(&desc.group_deltas(i, j), with_index);
-            let len_after = new_data.len();
+            let len_after = head.data.len_after(desc.group(i, j));
             let stats = head.stats.after_update(self.now_secs());
             let can_merge = node.key != NodeKey::NegInf;
             let len_delta = len_after as isize - head.data.len() as isize;
             let version = || VersionRef::Batch(desc.clone());
             match autoscale::decide(&self.config, &head.stats, len_after, can_merge) {
                 UpdateKind::Split if len_after >= 2 => {
-                    if self.install_split(&loc, new_data, version, (i, j), guard).is_none() {
+                    let halves = head.data.apply_split(desc.group(i, j), len_after, with_index);
+                    if self.install_split(&loc, halves, version, (i, j), guard).is_none() {
                         continue;
                     }
                 }
@@ -175,7 +177,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     continue;
                 }
                 _ => {
-                    let rev = Revision::regular(version(), new_data, stats, (i, j));
+                    let data = head.data.apply(desc.group(i, j), len_after, with_index);
+                    let rev = Revision::regular(version(), data, stats, (i, j));
                     if node.push_head(loc.head_s(), rev, guard).is_none() {
                         continue;
                     }

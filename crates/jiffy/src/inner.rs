@@ -239,8 +239,12 @@ pub(crate) unsafe fn defer_destroy_chain<K: MapKey, V: MapValue>(
     start: Shared<'_, Revision<K, V>>,
     guard: &Guard,
 ) {
-    let mut work = vec![start];
-    while let Some(rev_s) = work.pop() {
+    // Walk the spine in a loop; only merge revisions' right branches wait
+    // on a stack, so the common linear chain allocates nothing (this runs
+    // on every GC cut, i.e. once per update).
+    let mut branches = Vec::new();
+    let mut spine = Some(start);
+    while let Some(rev_s) = spine.take().or_else(|| branches.pop()) {
         if rev_s.is_null() {
             continue;
         }
@@ -248,10 +252,10 @@ pub(crate) unsafe fn defer_destroy_chain<K: MapKey, V: MapValue>(
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let rev = unsafe { rev_s.deref() };
         if rev.owns_next() {
-            work.push(rev.next.swap(Shared::null(), Ordering::AcqRel, guard));
+            spine = Some(rev.next.swap(Shared::null(), Ordering::AcqRel, guard));
         }
         if let Some(mi) = rev.as_merge() {
-            work.push(mi.right_next.swap(Shared::null(), Ordering::AcqRel, guard));
+            branches.push(mi.right_next.swap(Shared::null(), Ordering::AcqRel, guard));
         }
         // SAFETY: unlinked from the structure above, so no new reader
         // can reach it; already-pinned readers hold it until they unpin.

@@ -20,6 +20,7 @@
 //!    (batch group); the single winner of that step defers destruction of
 //!    *o* and the terminator.
 
+use std::iter::once;
 use std::sync::atomic::Ordering;
 
 use crossbeam_epoch::{Guard, Shared};
@@ -28,6 +29,7 @@ use jiffy_clock::VersionClock;
 use crate::backoff::Tripwire;
 use crate::inner::{JiffyInner, MapKey, MapValue};
 use crate::node::{MergeInfo, Node, RevKind, Revision, TermOp};
+use crate::revision::{Delta, RevData};
 use crate::version::{finalize_cell, VersionRef};
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
@@ -153,11 +155,12 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             let right_key =
                 o.key.as_key().expect("the base node never carries a merge terminator").clone();
 
+            // Built in one pass: left ++ right with the carried op(s).
             let (data, vref, coverage_end, span) = match &ti.op {
                 TermOp::Remove { key } => {
-                    let combined = phead
-                        .data
-                        .concat(&right_head.data.with_remove(key, with_index), with_index);
+                    let deltas = once(Delta::Remove(key));
+                    let combined =
+                        RevData::merge(&phead.data, &right_head.data, deltas, with_index);
                     let cell = match &mterm.vref {
                         VersionRef::Shared(c) => c.clone(),
                         _ => unreachable!("remove terminators use a shared cell"),
@@ -180,11 +183,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     // combined revision absorbs everything down to the
                     // predecessor's node key).
                     let end = desc.group_end(*group_start, &pred.key);
-                    let deltas = desc.group_deltas(*group_start, end);
-                    let combined = phead
-                        .data
-                        .concat(&right_head.data, with_index)
-                        .apply_deltas(&deltas, with_index);
+                    let deltas = desc.group(*group_start, end);
+                    let combined =
+                        RevData::merge(&phead.data, &right_head.data, deltas, with_index);
                     (combined, VersionRef::Batch(desc), end, (*group_start, end))
                 }
             };

@@ -210,7 +210,7 @@ pub(crate) enum RevKind<K, V> {
 ///
 /// `repr(C)` pins the declaration order so the point-read hot set —
 /// version (`vref`), chain edge (`next`), kind discriminant, and the
-/// entry-array pointers (`data`) — packs into the first two cache
+/// payload block pointer (`data`) — packs into the first two cache
 /// lines, one adjacent-prefetch pair on x86_64. The fields only the
 /// helping and autoscaling paths touch (`batch_span`, and the
 /// GC/§3.3.6-only `stats`) sit behind them, so a lookup never pulls
@@ -252,11 +252,7 @@ impl<K, V> Revision<K, V> {
         op: TermOp<K, V>,
         stats: RevStats,
         batch_span: (usize, usize),
-    ) -> Self
-    where
-        K: Ord + Clone + std::hash::Hash,
-        V: Clone,
-    {
+    ) -> Self {
         let info =
             TermInfo { op, merge_rev: Atomic::null(), cleanup_claimed: AtomicBool::new(false) };
         Revision {
@@ -271,11 +267,7 @@ impl<K, V> Revision<K, V> {
 
     /// The initial (empty, already-final) revision of a fresh map's base
     /// node.
-    pub(crate) fn initial() -> Self
-    where
-        K: Ord + Clone + std::hash::Hash,
-        V: Clone,
-    {
+    pub(crate) fn initial() -> Self {
         Self::regular(
             VersionRef::Inline(VersionCell::with_value(INITIAL_VERSION)),
             RevData::empty(),
@@ -531,7 +523,7 @@ mod tests {
         use std::mem::offset_of;
         type R = Revision<u64, u64>;
         // The point-read hot set (version, chain edge, discriminant)
-        // lives in the first cache line; the entry-array pointers start
+        // lives in the first cache line; the payload block pointer starts
         // within the first adjacent-prefetch pair (128 bytes).
         assert!(offset_of!(R, vref) < 64);
         assert!(offset_of!(R, next) < 64);

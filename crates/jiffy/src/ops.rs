@@ -6,6 +6,7 @@
 //! [`Node::push_head`] it over exactly that head — a lost CAS starts
 //! over from the locate.
 
+use std::iter::once;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use crate::autoscale::{self, UpdateKind};
 use crate::inner::{JiffyInner, MapKey, MapValue};
 use crate::locate::{ForUpdate, Neighbourhood, Seek};
 use crate::node::{Node, NodeKey, RevKind, Revision, SplitInfo, TermOp};
+use crate::revision::{Delta, RevData};
 use crate::version::{finalize_cell, optimistic_version, VersionCell, VersionRef};
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
@@ -72,16 +74,19 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         loop {
             let loc = self.locate_for_update(&key, guard);
             let head = loc.head();
+            head.data.prefetch();
             let prev = head.data.get(&key).cloned();
             let len_after = head.data.len() + usize::from(prev.is_none());
             let opt_ver = optimistic_version(&self.clock);
-            let data = head.data.with_put(key.clone(), value.clone(), with_index);
+            let delta = once(Delta::Put(&key, &value));
             // A put only grows the revision: it never merges (Alg. 1).
             let kind = autoscale::decide(&self.config, &head.stats, len_after, false);
             let published = if kind == UpdateKind::Split && len_after >= 2 {
+                let halves = head.data.apply_split(delta, len_after, with_index);
                 let cell = Arc::new(VersionCell::with_value(opt_ver));
-                self.install_split(&loc, data, || VersionRef::Shared(cell.clone()), (0, 0), guard)
+                self.install_split(&loc, halves, || VersionRef::Shared(cell.clone()), (0, 0), guard)
             } else {
+                let data = head.data.apply(delta, len_after, with_index);
                 let vref = VersionRef::Inline(VersionCell::with_value(opt_ver));
                 let stats = head.stats.after_update(self.now_secs());
                 loc.node().push_head(
@@ -119,6 +124,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             let loc = self.locate_for_update(key, guard);
             let (node, head) = (loc.node(), loc.head());
             let prev = head.data.get(key).cloned()?;
+            head.data.prefetch();
             let len_after = head.data.len() - 1;
             let opt_ver = optimistic_version(&self.clock);
             let stats = head.stats.after_update(self.now_secs());
@@ -143,8 +149,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 // (A remove can shrink below the split threshold only
                 // through races; treat Split as Regular.)
                 let vref = VersionRef::Inline(VersionCell::with_value(opt_ver));
-                let rev =
-                    Revision::regular(vref, head.data.with_remove(key, with_index), stats, (0, 0));
+                let data = head.data.apply(once(Delta::Remove(key)), len_after, with_index);
+                let rev = Revision::regular(vref, data, stats, (0, 0));
                 if let Some(published) = node.push_head(loc.head_s(), rev, guard) {
                     self.add_len(-1);
                     gc_node_s = loc.node_s();
@@ -163,23 +169,23 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         Some(old)
     }
 
-    /// Split the located node (Fig. 3): build a split pair from `full`
-    /// (the post-update entries), install the left half over `loc`'s head
-    /// and drive the structure change to completion. `version` yields
-    /// the version the two halves share (a fresh shared cell, or the
-    /// batch descriptor), `span` the batch ops they reflect. Returns the
-    /// published left split revision, or `None` if the head CAS lost.
+    /// Split the located node (Fig. 3): wrap `halves` (the post-update
+    /// entries as built by [`RevData::apply_split`]) in a split pair,
+    /// install the left half over `loc`'s head and drive the structure
+    /// change to completion. `version` yields the version the two halves
+    /// share (a fresh shared cell, or the batch descriptor), `span` the
+    /// batch ops they reflect. Returns the published left split revision,
+    /// or `None` if the head CAS lost.
     pub(crate) fn install_split<'g>(
         &self,
         loc: &Neighbourhood<'g, K, V>,
-        full: crate::revision::RevData<K, V>,
+        halves: (RevData<K, V>, RevData<K, V>, K),
         version: impl Fn() -> VersionRef<K, V>,
         span: (usize, usize),
         guard: &'g Guard,
     ) -> Option<Shared<'g, Revision<K, V>>> {
-        debug_assert!(full.len() >= 2);
         let now = self.now_secs();
-        let (ldata, rdata, split_key) = full.split_halves(!self.config.disable_hash_index);
+        let (ldata, rdata, split_key) = halves;
         let info = Arc::new(SplitInfo { split_key, right: Atomic::null() });
         let half = |data, kind| Revision {
             vref: version(),

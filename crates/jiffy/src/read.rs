@@ -24,9 +24,13 @@
 //! array, skipping the loop's help dispatch and the branchy chain walk.
 //! Anything unusual (pending head, merge terminator, split/merge
 //! revision, terminated node, stale coverage) bails to the slow path —
-//! the fast path never helps and never retries. Setting the
-//! `JIFFY_DISABLE_FAST_PATH=1` environment variable (read once, at
-//! first use) forces every lookup down the generic path; the
+//! the fast path never helps and never retries. A bail on a usable
+//! neighbourhood (any head but a merge terminator, which is all the
+//! read locate would change) hands it to the revision walk, so the
+//! slow path does not descend a second time — after a batch load every
+//! head is a finalized split revision, so that is the common bail.
+//! Setting the `JIFFY_DISABLE_FAST_PATH=1` environment variable (read
+//! once, at first use) forces every lookup down the generic path; the
 //! conformance suites run both ways and expect identical results.
 
 use std::sync::atomic::Ordering;
@@ -65,24 +69,33 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// The flat fast path shared by `get` and `get_at`: one
     /// [`neighbourhood`](Self::neighbourhood) read, answered from the
     /// head revision iff it is finalized, regular and within the
-    /// snapshot bound (`max_version`). `None` means "unusual
-    /// neighbourhood — take the generic path"; `Some(answer)` is the
-    /// lookup result.
+    /// snapshot bound (`max_version`). `Ok(answer)` is the lookup
+    /// result. `Err` sends the caller down the generic revision walk,
+    /// handing it the neighbourhood already read when that is exactly
+    /// what [`locate_for_read`](Self::locate_for_read) would return —
+    /// any head but a merge terminator — so a bail costs no second
+    /// descent; `Err(None)` means locate afresh (always, with the fast
+    /// path switched off).
     #[inline]
-    fn get_fast(&self, key: &K, max_version: Option<i64>, guard: &Guard) -> Option<Option<V>> {
-        perf_count!(fastpath_attempts);
-        let found = self.neighbourhood(Seek::Key(key), guard)?;
-        let head = found.head();
-        if !matches!(head.kind, RevKind::Regular) {
-            return None;
+    fn get_fast<'g>(
+        &self,
+        key: &K,
+        max_version: Option<i64>,
+        guard: &'g Guard,
+    ) -> Result<Option<V>, Option<Neighbourhood<'g, K, V>>> {
+        if !fast_path_enabled() {
+            return Err(None);
         }
+        perf_count!(fastpath_attempts);
+        let found = self.neighbourhood(Seek::Key(key), guard).ok_or(None)?;
+        let head = found.head();
         let v = head.version();
-        if v < 0 || max_version.is_some_and(|s| v > s) {
-            return None;
+        if !matches!(head.kind, RevKind::Regular) || v < 0 || max_version.is_some_and(|s| v > s) {
+            return Err((!head.is_merge_terminator()).then_some(found));
         }
         perf_count!(fastpath_hits);
         self.note_read(found.head_s(), guard);
-        Some(head.data.get(key).cloned())
+        Ok(head.data.get(key).cloned())
     }
 
     /// Get the most recent value for `key` (`get`, Algorithm 2 lines 1-2,
@@ -101,13 +114,13 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// for them.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
         let guard = &epoch::pin();
-        if fast_path_enabled() {
-            if let Some(answer) = self.get_fast(key, None, guard) {
-                return answer;
-            }
-        }
+        let mut first = match self.get_fast(key, None, guard) {
+            Ok(answer) => return answer,
+            Err(found) => found,
+        };
         'restart: loop {
-            let mut rev_s = self.locate_for_read(key, guard).head_s();
+            let found = first.take().unwrap_or_else(|| self.locate_for_read(key, guard));
+            let mut rev_s = found.head_s();
             self.note_read(rev_s, guard);
             loop {
                 if rev_s.is_null() {
@@ -137,12 +150,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     pub(crate) fn get_at(&self, key: &K, snap: i64) -> Option<V> {
         debug_assert!(snap >= 0);
         let guard = &epoch::pin();
-        if fast_path_enabled() {
-            if let Some(answer) = self.get_fast(key, Some(snap), guard) {
-                return answer;
-            }
-        }
-        let found = self.locate_for_read(key, guard);
+        let found = match self.get_fast(key, Some(snap), guard) {
+            Ok(answer) => return answer,
+            Err(found) => found.unwrap_or_else(|| self.locate_for_read(key, guard)),
+        };
         self.note_read(found.head_s(), guard);
         let mut rev_s = found.head_s();
         loop {
@@ -188,7 +199,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     }
 }
 
-/// White-box tests that [`JiffyInner::get_fast`] bails (returns `None`)
+/// White-box tests that [`JiffyInner::get_fast`] bails (returns `Err`)
 /// in every "unusual neighbourhood" it promises to leave to the generic
 /// path — pending heads, split/merge revision heads, terminated nodes,
 /// snapshot bounds — and still answers in steady state.
@@ -200,13 +211,35 @@ mod tests {
     use index_api::{Batch, BatchOp};
     use std::sync::Arc;
 
+    /// A read that bails off the fast path walks from the neighbourhood
+    /// the fast path already read: one descent, not two. A map loaded by
+    /// one batch has a finalized split revision at every head, so every
+    /// read there bails.
+    #[cfg(feature = "perf-counters")]
+    #[test]
+    fn a_bailing_read_descends_once() {
+        let map: JiffyMap<u64, u64> = JiffyMap::new();
+        map.batch(Batch::new((0..1000).map(|k| BatchOp::Put(k, k)).collect()));
+        let snap = map.snapshot();
+        let descents = || crate::counters::snapshot().descents;
+        for k in [0u64, 499, 500, 999, 5000] {
+            assert!(matches!(map.inner.get_fast(&k, None, &epoch::pin()), Err(Some(_))));
+            let before = descents();
+            assert_eq!(map.get(&k), (k < 1000).then_some(k));
+            assert_eq!(descents() - before, 1, "get({k})");
+            let before = descents();
+            assert_eq!(snap.get(&k), (k < 1000).then_some(k));
+            assert_eq!(descents() - before, 1, "snapshot().get({k})");
+        }
+    }
+
     #[test]
     fn fast_path_answers_in_steady_state() {
         let map: JiffyMap<u64, u64> = JiffyMap::new();
         map.put(10, 1);
         let guard = &epoch::pin();
-        assert_eq!(map.inner.get_fast(&10, None, guard), Some(Some(1)));
-        assert_eq!(map.inner.get_fast(&11, None, guard), Some(None), "covered miss is a hit");
+        assert_eq!(map.inner.get_fast(&10, None, guard).ok(), Some(Some(1)));
+        assert_eq!(map.inner.get_fast(&11, None, guard).ok(), Some(None), "covered miss is a hit");
     }
 
     #[test]
@@ -223,13 +256,13 @@ mod tests {
         map.install_prepared(&prep);
         {
             let guard = &epoch::pin();
-            assert_eq!(map.inner.get_fast(&10, None, guard), None, "pending head must bail");
+            assert_eq!(map.inner.get_fast(&10, None, guard).ok(), None, "pending head must bail");
         }
         assert_eq!(map.get(&10), Some(1), "generic path skips the pending head");
         // Committed: the head finalizes and the fast path engages again.
         map.commit_pending(&ticket);
         let guard = &epoch::pin();
-        assert_eq!(map.inner.get_fast(&10, None, guard), Some(Some(2)));
+        assert_eq!(map.inner.get_fast(&10, None, guard).ok(), Some(Some(2)));
     }
 
     #[test]
@@ -239,7 +272,7 @@ mod tests {
         let guard = &epoch::pin();
         // The head's version is some positive clock draw; a snapshot
         // bound below it must bail to the generic revision walk.
-        assert_eq!(map.inner.get_fast(&10, Some(0), guard), None);
+        assert_eq!(map.inner.get_fast(&10, Some(0), guard).ok(), None);
     }
 
     #[test]
@@ -254,7 +287,7 @@ mod tests {
         // SAFETY: non-null and reached under the enclosing pin guard;
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         unsafe { node_s.deref() }.terminated.store(true, Ordering::Release);
-        assert_eq!(map.inner.get_fast(&5, None, guard), None, "terminated node must bail");
+        assert_eq!(map.inner.get_fast(&5, None, guard).ok(), None, "terminated node must bail");
     }
 
     /// Split and merge revisions sit at node heads right after the
@@ -309,7 +342,7 @@ mod tests {
                                 crate::node::NodeKey::NegInf => 0,
                             };
                             assert_eq!(
-                                map.inner.get_fast(&probe, None, guard),
+                                map.inner.get_fast(&probe, None, guard).ok(),
                                 None,
                                 "head kind {kind} must bail"
                             );
