@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod poll;
 pub mod protocol;
 pub mod queue;
 pub mod server;

@@ -14,14 +14,18 @@
 //! ```
 //!
 //! Each **event-loop thread** owns a set of connections outright
-//! (`std::net` nonblocking sockets polled round-robin — no epoll in a
-//! dependency-free build; the cost is that an idle event loop still
-//! polls, 7–9 % of the machine in the benchmark's
-//! `server.io_cpu_frac_*` rungs). It reassembles frames, decodes
-//! requests and routes each to a shard worker's ingress queue, picked
-//! from the *current* router split points so one worker sees one
-//! shard's keys. Routing is
-//! an affinity hint, not a correctness requirement: every worker
+//! (`std::net` nonblocking sockets) and sleeps in the kernel until there
+//! is work: it blocks in `epoll_wait` on its sockets plus an eventfd
+//! that the workers answering its connections, and the acceptor handing
+//! it new ones, ring (`poll.rs`, ARCHITECTURE.md "Io-thread
+//! readiness"). Awake, it sweeps every connection — write, read, decode,
+//! route — for as long as a sweep finds work, yields the core for a few
+//! empty sweeps so a worker sharing it can answer without a syscall, and
+//! then declares itself asleep, re-checks its queues and blocks. It
+//! reassembles frames, decodes requests and routes each to a shard
+//! worker's ingress queue, picked from the *current* router split points
+//! so one worker sees one shard's keys; `Stats` it answers itself.
+//! Routing is an affinity hint, not a correctness requirement: every worker
 //! executes against the whole elastic map, so a key that moved shards
 //! mid-flight (live split/merge) is still handled correctly, just with
 //! less batching locality for a moment.
@@ -49,9 +53,14 @@
 //! for, and why pipelined clients must match responses by id. Once a
 //! write is *acknowledged*, it is visible to every subsequent request on
 //! every connection.
+//!
+//! A client that shuts down its writing half still gets every response
+//! it is owed: the io thread stops reading that socket and closes it
+//! only once no routed request is unanswered and every byte is written.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,6 +70,7 @@ use index_api::{Batch, BatchOp, OrderedIndex as _};
 use jiffy_dur::{DurOptions, Durability, DurableMap, RecoveryReport};
 use jiffy_shard::ElasticJiffy;
 
+use crate::poll::{Poller, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::protocol::{
     decode_request, encode_response, FrameDecoder, Request, Response, StatsSnapshot, WireError,
 };
@@ -75,6 +85,18 @@ pub type DurableStore = DurableMap<Arc<Map>>;
 /// Flush a coalescing run once it reaches this many puts even if the
 /// queue has more (bounds per-batch latency and memory).
 const COALESCE_MAX: usize = 128;
+
+/// Empty sweeps an io thread spends yielding the core before it sleeps:
+/// a worker sharing the core answers in that time without a syscall.
+const IO_SPIN: u32 = 16;
+
+/// The longest an io thread blocks in `epoll_wait`. Only a backstop
+/// against a lost wake-up, like the worker's `park_timeout(1 ms)`: every
+/// producer rings the eventfd and epoll reports every socket event, so
+/// no correct wait reaches it. At least 100 ms, so that an idle server
+/// stays idle; a whole second, so that a wait which does reach it stands
+/// out in any latency test instead of passing as scheduling noise.
+const IO_BACKSTOP: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
@@ -125,9 +147,11 @@ impl ServerStats {
 }
 
 /// Per-connection state shared with the workers that execute its
-/// requests: the response queue's producer end.
+/// requests: the response queue's producer end, and the owning io
+/// thread's poller to ring once a response is queued.
 struct ConnShared {
     resp_tx: queue::Sender<Vec<u8>>,
+    poller: Arc<Poller>,
 }
 
 /// One request in flight from an event loop to a shard worker.
@@ -162,6 +186,8 @@ pub struct ServerHandle {
     map: Arc<Map>,
     durable: Option<Arc<DurableStore>>,
     recovery: Option<RecoveryReport>,
+    /// One per io thread, rung at shutdown.
+    pollers: Vec<Arc<Poller>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -197,6 +223,9 @@ impl ServerHandle {
     /// flush+fsync any WAL tail still buffered under `batch` mode.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Release);
+        for poller in &self.pollers {
+            poller.ring();
+        }
         // Unblock the acceptor's blocking `accept` with a throwaway
         // connection; ignore failure (the listener may already be gone).
         let _ = TcpStream::connect(self.addr);
@@ -237,6 +266,10 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
     };
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
+    // Made before any thread starts, so that a failure leaves none behind.
+    let pollers = (0..cfg.io_threads.max(1))
+        .map(|_| Poller::new().map(Arc::new))
+        .collect::<std::io::Result<Vec<_>>>()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::default());
     let mut threads = Vec::new();
@@ -263,11 +296,12 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
             .collect(),
     );
 
-    // Event-loop threads.
-    let mut conn_txs = Vec::new();
-    for i in 0..cfg.io_threads.max(1) {
+    // Event-loop threads, each with its new-connection queue and poller.
+    let mut io = Vec::new();
+    for (i, poller) in pollers.iter().enumerate() {
         let (tx, rx) = queue::channel::<TcpStream>();
-        conn_txs.push(tx);
+        let poller = Arc::clone(poller);
+        io.push((tx, Arc::clone(&poller)));
         let map = Arc::clone(&map);
         let workers = Arc::clone(&workers);
         let stats = Arc::clone(&stats);
@@ -275,7 +309,7 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
         threads.push(
             std::thread::Builder::new()
                 .name(format!("jfs-io-{i}"))
-                .spawn(move || io_loop(map, rx, workers, stats, shutdown))
+                .spawn(move || io_loop(map, rx, poller, workers, stats, shutdown))
                 .expect("spawn io thread"),
         );
     }
@@ -297,7 +331,9 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
-                        conn_txs[next % conn_txs.len()].send(stream);
+                        let (tx, poller) = &io[next % io.len()];
+                        tx.send(stream);
+                        poller.notify();
                         next += 1;
                     }
                 })
@@ -305,7 +341,7 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
         );
     }
 
-    Ok(ServerHandle { addr, shutdown, stats, map, durable, recovery, threads })
+    Ok(ServerHandle { addr, shutdown, stats, map, durable, recovery, pollers, threads })
 }
 
 /// One live connection owned by an event-loop thread.
@@ -317,21 +353,86 @@ struct Conn {
     out_at: usize,
     resp_rx: queue::Receiver<Vec<u8>>,
     shared: Arc<ConnShared>,
+    /// Requests routed to a worker and not yet answered.
+    owed: usize,
+    /// The client shut down its writing half: read no more, but answer
+    /// what was routed before closing.
+    eof: bool,
     dead: bool,
+    /// The epoll events registered for the socket.
+    watching: u32,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, poller: &Arc<Poller>) -> std::io::Result<Conn> {
+        let watching = EPOLLIN | EPOLLRDHUP;
+        poller.add(stream.as_raw_fd(), watching)?;
         let (resp_tx, resp_rx) = queue::channel();
-        Conn {
+        Ok(Conn {
             stream,
             dec: FrameDecoder::new(),
             out: Vec::new(),
             out_at: 0,
             resp_rx,
-            shared: Arc::new(ConnShared { resp_tx }),
+            shared: Arc::new(ConnShared { resp_tx, poller: Arc::clone(poller) }),
+            owed: 0,
+            eof: false,
             dead: false,
+            watching,
+        })
+    }
+
+    /// Whether the io thread is done with this connection: it failed, or
+    /// the client hung up and is owed nothing more.
+    fn finished(&self) -> bool {
+        self.dead || (self.eof && self.owed == 0 && self.out_at == self.out.len())
+    }
+
+    /// The write buffer, its consumed prefix dropped once all of it is.
+    fn out_buf(&mut self) -> &mut Vec<u8> {
+        if self.out_at > 0 && self.out_at == self.out.len() {
+            self.out.clear();
+            self.out_at = 0;
         }
+        &mut self.out
+    }
+
+    /// Answer a request on the io thread itself, behind what is buffered.
+    fn answer(&mut self, resp: &Response) {
+        encode_response(self.out_buf(), resp);
+    }
+
+    /// One sweep: write what is queued, then read and route what arrived
+    /// (what the io thread answers itself goes out next sweep). On a
+    /// 2-vCPU VM, writing first served 8 % more `serve_mixed` requests per
+    /// second at saturation than reading first. Returns whether anything
+    /// moved.
+    fn sweep(
+        &mut self,
+        read_buf: &mut [u8],
+        splits: &[u64],
+        workers: &[Arc<WorkerHandle>],
+        stats: &ServerStats,
+    ) -> bool {
+        let mut progressed = self.pump_out();
+        if self.dead || self.eof {
+            return progressed;
+        }
+        match self.stream.read(read_buf) {
+            Ok(0) => {
+                self.eof = true;
+                progressed = true;
+            }
+            Ok(n) => {
+                progressed = true;
+                self.dec.extend(&read_buf[..n]);
+                drain_frames(self, splits, workers, stats);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => self.dead = true,
+        }
+        progressed
     }
 
     /// Move queued responses into the write buffer and flush what the
@@ -339,12 +440,8 @@ impl Conn {
     fn pump_out(&mut self) -> bool {
         let mut progressed = false;
         while let Some(frame) = self.resp_rx.recv() {
-            // Compact the consumed prefix before growing the buffer.
-            if self.out_at > 0 && self.out_at == self.out.len() {
-                self.out.clear();
-                self.out_at = 0;
-            }
-            self.out.extend_from_slice(&frame);
+            self.owed -= 1;
+            self.out_buf().extend_from_slice(&frame);
             progressed = true;
         }
         while self.out_at < self.out.len() {
@@ -367,6 +464,20 @@ impl Conn {
         }
         progressed
     }
+
+    /// Register the events this connection now waits for: input until the
+    /// client's end of stream (a socket at EOF stays readable, so watching
+    /// it would never let the thread sleep), output while a tail is unwritten.
+    fn watch(&mut self, poller: &Poller) {
+        let mut want = if self.eof { 0 } else { EPOLLIN | EPOLLRDHUP };
+        if self.out_at < self.out.len() {
+            want |= EPOLLOUT;
+        }
+        if want != self.watching && !self.dead {
+            self.dead = poller.modify(self.stream.as_raw_fd(), want).is_err();
+            self.watching = want;
+        }
+    }
 }
 
 /// Pick the shard worker for `key` from the cached split points (the
@@ -375,9 +486,27 @@ fn route(splits: &[u64], key: u64, workers: usize) -> usize {
     splits.partition_point(|s| *s <= key) % workers
 }
 
+/// Take every connection the acceptor handed over; returns whether any.
+/// A socket epoll refuses is dropped, which closes it.
+fn adopt(
+    new_conns: &mut queue::Receiver<TcpStream>,
+    conns: &mut Vec<Conn>,
+    poller: &Arc<Poller>,
+) -> bool {
+    let mut any = false;
+    while let Some(stream) = new_conns.recv() {
+        any = true;
+        if let Ok(conn) = Conn::new(stream, poller) {
+            conns.push(conn);
+        }
+    }
+    any
+}
+
 fn io_loop(
     map: Arc<Map>,
     mut new_conns: queue::Receiver<TcpStream>,
+    poller: Arc<Poller>,
     workers: Arc<Vec<Arc<WorkerHandle>>>,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
@@ -397,42 +526,35 @@ fn io_loop(
             // keeps batches single-shard across live splits/merges.
             splits = map.splits();
         }
-        let mut progressed = false;
-        while let Some(stream) = new_conns.recv() {
-            conns.push(Conn::new(stream));
-            progressed = true;
-        }
+        let mut progressed = adopt(&mut new_conns, &mut conns, &poller);
         for conn in conns.iter_mut() {
-            progressed |= conn.pump_out();
-            if conn.dead {
-                continue;
-            }
-            match conn.stream.read(&mut read_buf) {
-                Ok(0) => conn.dead = true, // client hung up
-                Ok(n) => {
-                    progressed = true;
-                    conn.dec.extend(&read_buf[..n]);
-                    drain_frames(conn, &splits, &workers, &stats);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => conn.dead = true,
-            }
+            progressed |= conn.sweep(&mut read_buf, &splits, &workers, &stats);
+            conn.watch(&poller);
         }
-        conns.retain(|c| !c.dead);
+        conns.retain(|c| !c.finished());
         if progressed {
             idle_streak = 0;
-        } else {
-            idle_streak += 1;
-            if idle_streak > 16 {
-                // Fully idle: nap briefly. 200µs keeps worst-case added
-                // latency small while not spinning a shared core away
-                // from the workers actually executing operations.
-                std::thread::sleep(Duration::from_micros(200));
-            } else {
-                std::thread::yield_now();
-            }
+            continue;
         }
+        idle_streak += 1;
+        if idle_streak <= IO_SPIN {
+            std::thread::yield_now();
+            continue;
+        }
+        // Declare sleep, then look once more at every queue a producer
+        // rings about: what it enqueued before seeing the flag is found
+        // here (ARCHITECTURE.md, "Io-thread readiness").
+        poller.prepare_to_sleep();
+        let mut found = adopt(&mut new_conns, &mut conns, &poller);
+        for conn in conns.iter_mut() {
+            found |= conn.pump_out();
+        }
+        if found {
+            poller.wake_up();
+        } else {
+            poller.sleep(IO_BACKSTOP);
+        }
+        idle_streak = 0;
     }
 }
 
@@ -455,14 +577,14 @@ fn drain_frames(
                         .get(..8)
                         .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                         .unwrap_or(0);
-                    respond(&conn.shared, &Response::Error { id });
+                    conn.answer(&Response::Error { id });
                 }
             },
             Err(WireError::BadLength(_)) | Err(WireError::Malformed(_)) => {
                 // Unsynchronized stream: best-effort error, then close
                 // this connection only — the event loop and its other
                 // connections are unaffected.
-                respond(&conn.shared, &Response::Error { id: 0 });
+                conn.answer(&Response::Error { id: 0 });
                 conn.pump_out();
                 conn.dead = true;
                 return;
@@ -475,7 +597,7 @@ fn drain_frames(
 /// shard worker (affinity-routed); `Stats` answered inline — counters
 /// are monotonic and order against nothing.
 fn route_request(
-    conn: &Conn,
+    conn: &mut Conn,
     req: Request,
     splits: &[u64],
     workers: &[Arc<WorkerHandle>],
@@ -490,18 +612,21 @@ fn route_request(
             route(splits, ops.first().map(|(k, _)| *k).unwrap_or(0), workers.len())
         }
         Request::Stats { id } => {
-            respond(&conn.shared, &Response::Stats { id: *id, stats: stats.snapshot() });
+            conn.answer(&Response::Stats { id: *id, stats: stats.snapshot() });
             return;
         }
     };
+    conn.owed += 1;
     workers[w].send(Ingress { conn: Arc::clone(&conn.shared), req });
 }
 
-/// Encode and enqueue one response on the connection's response queue.
+/// Encode and enqueue one response on the connection's response queue,
+/// then wake its io thread if it sleeps. A worker's only way to answer.
 fn respond(conn: &ConnShared, resp: &Response) {
     let mut buf = Vec::with_capacity(resp.frame_len());
     encode_response(&mut buf, resp);
     conn.resp_tx.send(buf);
+    conn.poller.notify();
 }
 
 /// Unwrap a durable write's result, reporting (not panicking on) disk

@@ -506,3 +506,109 @@ fn soak_1k_connections_through_split_and_merge() {
     assert!(snap.ops_per_batch() > 1.0, "mean ops per installed batch not > 1");
     server.shutdown();
 }
+
+/// A client that writes its requests, shuts down its writing half and
+/// reads to the end must get every response: the server may not drop a
+/// connection at end of stream while a worker still owes it answers.
+#[test]
+fn half_closed_client_gets_every_response() {
+    let server = start(2, 1 << 16, ServerConfig::default());
+    for round in 0..50u64 {
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut frames = Vec::new();
+        for i in 0..4u64 {
+            let key = (round * 4 + i) * 4_099 % (1 << 16);
+            protocol::encode_request(&mut frames, &Request::Put { id: i + 1, key, val: round });
+        }
+        raw.write_all(&frames).unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut bytes = Vec::new();
+        raw.read_to_end(&mut bytes).expect("the server closes once it has answered");
+        let mut dec = protocol::FrameDecoder::new();
+        dec.extend(&bytes);
+        let mut ids = Vec::new();
+        while let Some(payload) = dec.next_frame().unwrap() {
+            match protocol::decode_response(&payload).unwrap() {
+                Response::Put { id } => ids.push(id),
+                other => panic!("round {round}: expected a Put ack, got {other:?}"),
+            }
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2, 3, 4], "round {round}: responses lost at end of stream");
+    }
+    server.shutdown();
+}
+
+/// A client that pipelines more reply bytes than the loopback socket
+/// buffers hold, and reads nothing for a while, still gets every byte
+/// promptly once it reads: the io thread must wait for the socket to
+/// drain (EPOLLOUT), not for its 1-s backstop timeout. The bound is half
+/// the backstop: the socket buffers can hold all but a few hundred KiB of
+/// the ~4 MiB, so without EPOLLOUT one late wake drains the rest.
+#[test]
+fn slow_reader_gets_every_byte() {
+    const KEYS: u64 = 4_096;
+    const SCANS: u64 = 64;
+    let server = start(2, 1 << 16, ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    for chunk in (0..KEYS).collect::<Vec<_>>().chunks(512) {
+        c.txn(chunk.iter().map(|&k| (k, Some(k * 7))).collect()).unwrap();
+    }
+    let ids: Vec<u64> = (0..SCANS)
+        .map(|_| {
+            let id = c.next_id();
+            c.send(&Request::Scan { id, lo: 0, limit: KEYS as u32 })
+        })
+        .collect();
+    c.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let start = std::time::Instant::now();
+    let mut pending: std::collections::HashSet<u64> = ids.into_iter().collect();
+    while !pending.is_empty() {
+        match c.recv_response().unwrap() {
+            Response::Scan { id, entries } => {
+                assert!(pending.remove(&id), "unexpected or duplicate scan id {id}");
+                assert_eq!(entries.len() as u64, KEYS, "scan {id} came back short");
+                assert!(entries.iter().all(|&(k, v)| v == k * 7), "scan {id} read a wrong value");
+            }
+            other => panic!("expected a Scan reply, got {other:?}"),
+        }
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "{SCANS} scans of {KEYS} keys took {took:?} to read"
+    );
+    server.shutdown();
+}
+
+/// Depth-1 round trips on one connection, alternating a `Get` (a worker
+/// answers, then rings the io thread) with a `Stats` (the io thread
+/// answers), with seeded client pauses of 0–300 µs so the io thread
+/// falls asleep before many of them. A lost wake-up shows as a round
+/// trip that waits out the io thread's backstop (1 s).
+#[test]
+fn no_round_trip_waits_out_the_backstop() {
+    let server = start(2, 1 << 16, ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.put(11, 110).unwrap();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut slowest = Duration::ZERO;
+    for i in 0..5_000u32 {
+        // xorshift64: a fixed pause schedule that repeats run to run.
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        std::thread::sleep(Duration::from_micros(rng % 301));
+        let t0 = std::time::Instant::now();
+        if i % 2 == 0 {
+            assert_eq!(c.get(11).unwrap(), Some(110));
+        } else {
+            c.stats().unwrap();
+        }
+        slowest = slowest.max(t0.elapsed());
+    }
+    assert!(slowest < Duration::from_millis(500), "a round trip took {slowest:?}: a lost wake-up");
+    server.shutdown();
+}
