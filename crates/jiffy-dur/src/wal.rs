@@ -440,7 +440,10 @@ impl Stripe {
                 return Err(e);
             }
             self.file_len += self.pending.len() as u64;
-            let n = std::mem::take(&mut self.pending).len();
+            // Keep the capacity: the next 64 KiB of appends reuse it
+            // instead of regrowing by doubling from empty.
+            let n = self.pending.len();
+            self.pending.clear();
             self.synced_seq = self.last_seq;
             self.hist_sync.record(t0.elapsed().as_nanos() as u64);
             trace_event!(hint: WalSync, self.id as u64, n as u64);

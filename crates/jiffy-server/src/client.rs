@@ -7,9 +7,8 @@
 //! * **Pipelined** — callers issue [`Client::send`] repeatedly (frames
 //!   accumulate in a write buffer), [`Client::flush`], then collect
 //!   responses with [`Client::recv_response`]. Responses must be
-//!   **matched by request id**: same-key requests come back in order,
-//!   but requests for different keys fan out to different shard workers
-//!   and may complete out of order.
+//!   **matched by request id**: the protocol promises no order on the
+//!   wire. A connection always reads its own earlier writes.
 //!
 //! The benchmark driver in `mkbench` uses its own nonblocking
 //! connection state machine for load generation; this client is the

@@ -2,13 +2,13 @@
 //!
 //! The serving stack turns N independent network clients into the kind
 //! of traffic Jiffy's batch-update protocol (KobusKW22 §3.3) is built
-//! for: shard workers drain their ingress queues and *coalesce* runs
-//! of single-key puts into one Jiffy batch, so one pending-version
-//! install pays for many client writes. See [`server`] for the thread
-//! architecture, [`protocol`] for the wire format, [`queue`] for the
-//! ingress queue (`std::sync::mpsc` behind the three names the server
-//! uses — once requests are batched, the queue that carries them can
-//! be the boring one), and [`client`] for a small blocking client.
+//! for: each io thread runs the requests it decodes itself and
+//! *coalesces* the single-key puts of one sweep over its connections
+//! into one Jiffy batch, so one pending-version install pays for many
+//! client writes. See [`server`] for the thread architecture,
+//! [`protocol`] for the wire format, [`queue`] for the acceptor's
+//! hand-off queue (`std::sync::mpsc` behind the three names the server
+//! uses), and [`client`] for a small blocking client.
 //!
 //! ```no_run
 //! use std::sync::Arc;

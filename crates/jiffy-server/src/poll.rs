@@ -2,11 +2,11 @@
 //! io thread, declared against the libc `std` already links (no crate).
 //!
 //! An io thread registers its sockets here and blocks in [`Poller::sleep`]
-//! until one of them is ready or a producer rings the eventfd. Producers
-//! (the workers answering its connections, the acceptor handing it a new
-//! one) call [`Poller::notify`] after they enqueue; it costs a syscall only
-//! when the io thread has declared itself asleep. The protocol, and why no
-//! wake-up is lost, is ARCHITECTURE.md's "Io-thread readiness".
+//! until one of them is ready or the eventfd is rung. The one producer,
+//! the acceptor handing it a new connection, calls [`Poller::notify`]
+//! after it enqueues; it costs a syscall only when the io thread has
+//! declared itself asleep. Shutdown rings unconditionally. The protocol,
+//! and why no wake-up is lost, is ARCHITECTURE.md's "Io-thread readiness".
 //!
 //! Every `unsafe` block of the crate lives in this module.
 
@@ -77,8 +77,8 @@ pub(crate) struct Poller {
     /// The eventfd, nonblocking; `File` gives it `read` and `write`.
     wake: File,
     /// Set by the io thread (then a SeqCst fence, then a re-check of its
-    /// queues) before it blocks; a producer that swaps it back to `false`
-    /// owes the eventfd a write.
+    /// new-connection queue) before it blocks; a producer that swaps it
+    /// back to `false` owes the eventfd a write.
     sleeping: AtomicBool,
 }
 
@@ -117,7 +117,7 @@ impl Poller {
     }
 
     /// The io thread's side, step one: declare itself asleep. After this
-    /// returns it must look at every queue a producer [`notify`]s it
+    /// returns it must look at the queue a producer [`notify`]s it
     /// about, and then either [`sleep`] or, having found work, [`wake_up`].
     ///
     /// [`notify`]: Poller::notify
@@ -135,11 +135,12 @@ impl Poller {
         self.sleeping.store(false, Ordering::Relaxed);
     }
 
-    /// Block until a watched fd is ready, the eventfd is rung, or `backstop`
-    /// passes; then clear the eventfd if it was rung.
-    pub(crate) fn sleep(&self, backstop: Duration) {
+    /// Block until a watched fd is ready, the eventfd is rung, or `timeout`
+    /// passes; then clear the eventfd if it was rung. Returns whether the
+    /// wait ended before its timeout.
+    pub(crate) fn sleep(&self, timeout: Duration) -> bool {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        let timeout = c_int::try_from(backstop.as_millis()).unwrap_or(c_int::MAX);
+        let timeout = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
         // SAFETY: the kernel writes at most `events.len()` entries into
         // `events`, which lives across the call.
         let n = unsafe {
@@ -150,7 +151,7 @@ impl Poller {
             let e = io::Error::last_os_error();
             // The only other errors name a bad fd or buffer: a bug here.
             assert_eq!(e.kind(), io::ErrorKind::Interrupted, "epoll_wait: {e}");
-            return;
+            return true;
         }
         // `{ ev.data }` copies the field out: a packed field takes no `&`.
         if events[..n as usize].iter().any(|ev| { ev.data } == WAKE_TOKEN) {
@@ -159,6 +160,7 @@ impl Poller {
             // cost one spurious wake.
             let _ = (&self.wake).read(&mut [0u8; 8]);
         }
+        n > 0
     }
 
     /// Write the eventfd, unconditionally (shutdown uses this).

@@ -26,8 +26,7 @@
 //! ```
 //!
 //! Request ids are chosen by the client and echoed verbatim; responses
-//! to pipelined requests may arrive in any order (point ops and
-//! transactions execute on different shard workers), so the id is the
+//! to pipelined requests may arrive in any order, so the id is the
 //! only correlation. Keys and values are `u64` — the shape every
 //! in-repo driver and the Wing–Gong checker use.
 
@@ -130,7 +129,7 @@ impl Request {
 /// Server counters carried by a [`Response::Stats`] reply.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Jiffy batches installed by coalescing shard workers.
+    /// Jiffy batches installed by coalescing runs of puts.
     pub installed_batches: u64,
     /// Single-key puts that were folded into those batches.
     pub coalesced_puts: u64,
@@ -212,22 +211,6 @@ impl Response {
             | Response::Stats { id, .. }
             | Response::Error { id } => id,
         }
-    }
-
-    /// Exact length of the frame [`encode_response`] writes for this
-    /// response, so a reply buffer is allocated once at its final size.
-    pub(crate) fn frame_len(&self) -> usize {
-        let body = match self {
-            Response::Error { .. } => 0,
-            // Everything else carries an opcode byte, then:
-            Response::Put { .. } | Response::Txn { .. } => 1,
-            Response::Remove { .. } => 1 + 1,
-            Response::Get { val, .. } => 1 + 1 + 8 * usize::from(val.is_some()),
-            Response::Scan { entries, .. } => 1 + 4 + 16 * entries.len(),
-            Response::Stats { .. } => 1 + 4 * 8,
-        };
-        // Length prefix, id, status.
-        4 + 8 + 1 + body
     }
 }
 
@@ -597,7 +580,6 @@ mod tests {
         for resp in all_responses() {
             let mut buf = Vec::new();
             encode_response(&mut buf, &resp);
-            assert_eq!(buf.len(), resp.frame_len(), "frame_len drifted from the codec: {resp:?}");
             let mut dec = FrameDecoder::new();
             dec.extend(&buf);
             let payload = dec.next_frame().unwrap().expect("one whole frame");

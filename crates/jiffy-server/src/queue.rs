@@ -1,15 +1,12 @@
 //! The server's one channel type: an unbounded FIFO **MPSC** queue,
-//! used for worker ingress, per-connection responses and the
-//! acceptor → io-thread hand-off. It is `std::sync::mpsc` behind the
-//! three names the server (and `benchmark/`) use, with the two
-//! behaviours the server relies on fixed in one place: `send` cannot
-//! fail and `recv` never blocks.
+//! used for the acceptor → io-thread hand-off of new connections. It is
+//! `std::sync::mpsc` behind the three names the server (and
+//! `benchmark/`) use, with the two behaviours the server relies on fixed
+//! in one place: `send` cannot fail and `recv` never blocks.
 //!
-//! Why nothing cleverer: once the workers batch, the queue that feeds
-//! them is not where the time goes, and on the benchmark's `queue.*`
-//! rungs `std`'s channel moved a message in 89 ns against 246 ns for
-//! the hand-rolled wait-free queue it replaced (ARCHITECTURE.md,
-//! "Ingress queues").
+//! Why nothing cleverer: on the benchmark's `queue.*` rungs `std`'s
+//! channel moved a message in 89 ns against 246 ns for the hand-rolled
+//! wait-free queue it replaced (ARCHITECTURE.md, "The hand-off queue").
 
 use std::sync::mpsc;
 
@@ -36,12 +33,10 @@ impl<T: Send> Sender<T> {
     /// that producer sent them.
     ///
     /// A send to a queue whose [`Receiver`] is gone **drops the value**
-    /// — the `SendError` is discarded on purpose. Both cases in the
-    /// server are ones where nobody will ever read the message: a
-    /// worker answering a connection its io thread already reaped, and
-    /// an io thread routing to a worker that exited at shutdown.
-    /// Dropping the frame at once beats queueing it until the last
-    /// sender lets go.
+    /// — the `SendError` is discarded on purpose. In the server that is
+    /// the acceptor handing a connection to an io thread that exited at
+    /// shutdown: nobody will ever read it, and dropping it at once
+    /// closes the socket.
     pub fn send(&self, val: T) {
         let _ = self.0.send(val);
     }

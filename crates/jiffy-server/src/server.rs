@@ -1,62 +1,53 @@
-//! The server proper: acceptor + thread-per-core event loops +
-//! coalescing shard workers over one shared [`ElasticJiffy`].
+//! The server proper: an acceptor plus thread-per-core event loops that
+//! run every request to completion against one shared [`ElasticJiffy`].
 //!
 //! # Thread architecture
 //!
 //! ```text
-//! acceptor ──round-robin──▶ io-thread 0..I   (nonblocking sockets,
-//!    │                        │  │             frame reassembly,
-//!    ▼                        ▼  ▼             response writes)
-//!  TcpListener            ingress queues (`std` MPSC, one per worker)
-//!                             │  │
-//!                             ▼  ▼
-//!                         worker 0..W  ──▶  Arc<ElasticJiffy<u64, u64>>
+//! acceptor ──round-robin──▶ io-thread 0..I   (nonblocking sockets, frame
+//!    │       (new-connection    │              reassembly, execution,
+//!    ▼        queue + eventfd)  │              response writes)
+//!  TcpListener                  ▼
+//!                 Arc<ElasticJiffy<u64, u64>>  (through DurableMap when
+//!                                               durability is on)
 //! ```
 //!
 //! Each **event-loop thread** owns a set of connections outright
 //! (`std::net` nonblocking sockets) and sleeps in the kernel until there
-//! is work: it blocks in `epoll_wait` on its sockets plus an eventfd
-//! that the workers answering its connections, and the acceptor handing
-//! it new ones, ring (`poll.rs`, ARCHITECTURE.md "Io-thread
-//! readiness"). Awake, it sweeps every connection — write, read, decode,
-//! route — for as long as a sweep finds work, yields the core for a few
-//! empty sweeps so a worker sharing it can answer without a syscall, and
-//! then declares itself asleep, re-checks its queues and blocks. It
-//! reassembles frames, decodes requests and routes each to a shard
-//! worker's ingress queue, picked from the *current* router split points
-//! so one worker sees one shard's keys; `Stats` it answers itself.
-//! Routing is an affinity hint, not a correctness requirement: every worker
-//! executes against the whole elastic map, so a key that moved shards
-//! mid-flight (live split/merge) is still handled correctly, just with
-//! less batching locality for a moment.
+//! is work: it blocks in `epoll_wait` on its sockets plus an eventfd that
+//! the acceptor rings when it hands over a new connection (`poll.rs`,
+//! ARCHITECTURE.md "Io-thread readiness"). Awake, it *sweeps*: it reads
+//! every connection, decodes what arrived and executes each request
+//! itself — gets, scans, removes, transactions and `Stats` at once, their
+//! responses encoded straight into the connection's write buffer — then
+//! installs the sweep's puts and writes every buffer. It sweeps again
+//! until a sweep finds nothing to do, then declares itself asleep,
+//! re-checks its new-connection queue and blocks.
 //!
-//! Each **shard worker** drains its ingress queue and *coalesces*: a
-//! run of queued single-key puts becomes ONE Jiffy batch
-//! (`Batch::new` + `batch_update` — the paper's §3.3.2 batch install,
-//! one pending-version protocol for N client writes). Gets, removes,
-//! scans and transactions act as barriers: the pending run is flushed
-//! first. Multi-key transactions go through `batch_update` too, which
-//! routes cross-shard sets through the existing two-phase path.
-//! Responses are enqueued on the connection's response queue — another
-//! [`queue`] instance, consumed by the owning event loop — and a put's
-//! response is enqueued only *after* its batch installs, so a
-//! client-observed response is always a linearization witness.
+//! A sweep's single-key puts, across all of the thread's connections,
+//! *coalesce* into one run that becomes ONE Jiffy batch (`Batch::new` +
+//! `batch_update` — the paper's §3.3.2 batch install, one pending-version
+//! protocol for N client writes; the elastic map runs a run that spans
+//! shards through its two-phase path). Under durability the run is one
+//! WAL append per touched stripe and, under `fsync`, one group-commit
+//! sync for puts from many connections. A put is acknowledged only
+//! *after* its batch installs (and syncs), so a client-observed ack is
+//! always a linearization witness.
 //!
 //! # Ordering
 //!
-//! A connection's requests for the **same key** are answered in request
-//! order: key-affinity routing sends them to one worker, the ingress
-//! queue is FIFO, and the worker's flush-before-barrier rule keeps a
-//! pending coalesced put ahead of the get that follows it. Requests for
-//! **different keys** may complete out of order (they fan out to
-//! different workers) — that is what the protocol's request ids are
-//! for, and why pipelined clients must match responses by id. Once a
-//! write is *acknowledged*, it is visible to every subsequent request on
-//! every connection.
+//! Anything but a put, from a connection whose put is still in the run,
+//! installs the run first: a connection always sees its own writes, so a
+//! pipelined `put k; get k` reads the put's value. Other connections'
+//! requests run at once; they are concurrent with the unacknowledged put,
+//! and either answer is linearizable. Once a write is *acknowledged*, it
+//! is visible to every subsequent request on every connection. The
+//! protocol promises no order on the wire: pipelined clients match
+//! responses by request id.
 //!
 //! A client that shuts down its writing half still gets every response
 //! it is owed: the io thread stops reading that socket and closes it
-//! only once no routed request is unanswered and every byte is written.
+//! once every byte is written.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,7 +55,7 @@ use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use index_api::{Batch, BatchOp, OrderedIndex as _};
 use jiffy_dur::{DurOptions, Durability, DurableMap, RecoveryReport};
@@ -79,38 +70,46 @@ use crate::queue;
 /// The storage engine the server fronts.
 pub type Map = ElasticJiffy<u64, u64>;
 
-/// The durable wrapper the workers write through when durability is on.
+/// The durable wrapper the io threads write through when durability is on.
 pub type DurableStore = DurableMap<Arc<Map>>;
 
-/// Flush a coalescing run once it reaches this many puts even if the
-/// queue has more (bounds per-batch latency and memory).
+/// Install a sweep's run once it reaches this many puts, even if more
+/// are decoded (bounds per-batch latency and memory).
 const COALESCE_MAX: usize = 128;
 
-/// Empty sweeps an io thread spends yielding the core before it sleeps:
-/// a worker sharing the core answers in that time without a syscall.
-const IO_SPIN: u32 = 16;
+/// While requests keep arriving, an idle io thread wakes at least this
+/// often. On a VM a core that halts for long wakes tens of µs late (the
+/// host deschedules it), and that wake is most of a lone request's
+/// latency; waking every millisecond keeps the halts short. A tick with
+/// nothing ready re-checks the new-connection queue and sleeps again,
+/// without a sweep.
+const IO_TICK: Duration = Duration::from_millis(1);
+
+/// How long after its last productive sweep an io thread keeps ticking;
+/// then it sleeps until there is work, or for [`IO_BACKSTOP`].
+const IO_LINGER: Duration = Duration::from_millis(10);
 
 /// The longest an io thread blocks in `epoll_wait`. Only a backstop
-/// against a lost wake-up, like the worker's `park_timeout(1 ms)`: every
-/// producer rings the eventfd and epoll reports every socket event, so
-/// no correct wait reaches it. At least 100 ms, so that an idle server
-/// stays idle; a whole second, so that a wait which does reach it stands
-/// out in any latency test instead of passing as scheduling noise.
+/// against a lost wake-up: the acceptor rings the eventfd after every
+/// hand-over and epoll reports every socket event, so no correct wait
+/// reaches it. At least 100 ms, so that an idle server stays idle; a
+/// whole second, so that a wait which does reach it stands out in any
+/// latency test instead of passing as scheduling noise.
 const IO_BACKSTOP: Duration = Duration::from_secs(1);
 
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Event-loop threads (thread-per-core; connections are assigned
-    /// round-robin at accept time and never migrate).
+    /// round-robin at accept time and never migrate). Each executes the
+    /// requests of the connections it owns.
     pub io_threads: usize,
-    /// Shard workers, each with its own ingress queue.
-    pub workers: usize,
     /// Write durability. [`Durability::None`] (the default) keeps the
     /// RAM-only hot path with no WAL at all; `batch` logs with a
     /// bounded loss window; `fsync` defers every write's ack until its
     /// WAL stripe is synced — riding the coalescer, so one fsync still
-    /// covers a whole batch of client puts (group commit).
+    /// covers a whole sweep's puts from every connection of an io
+    /// thread (group commit).
     pub durability: Durability,
     /// Where the WAL + checkpoints live. Required (and created) when
     /// `durability != None`; ignored otherwise. Existing state under
@@ -120,7 +119,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig { io_threads: 2, workers: 2, durability: Durability::None, data_dir: None }
+        ServerConfig { io_threads: 2, durability: Durability::None, data_dir: None }
     }
 }
 
@@ -142,38 +141,6 @@ impl ServerStats {
             coalesced_puts: self.coalesced_puts.load(Ordering::Relaxed),
             direct_ops: self.direct_ops.load(Ordering::Relaxed),
             txns: self.txns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-connection state shared with the workers that execute its
-/// requests: the response queue's producer end, and the owning io
-/// thread's poller to ring once a response is queued.
-struct ConnShared {
-    resp_tx: queue::Sender<Vec<u8>>,
-    poller: Arc<Poller>,
-}
-
-/// One request in flight from an event loop to a shard worker.
-struct Ingress {
-    conn: Arc<ConnShared>,
-    req: Request,
-}
-
-/// A worker's ingress side plus its wake handle.
-struct WorkerHandle {
-    tx: queue::Sender<Ingress>,
-    thread: std::thread::Thread,
-    /// Set by the worker just before parking; a producer that swaps it
-    /// back to `false` owes the worker an unpark.
-    sleeping: Arc<AtomicBool>,
-}
-
-impl WorkerHandle {
-    fn send(&self, msg: Ingress) {
-        self.tx.send(msg);
-        if self.sleeping.swap(false, Ordering::AcqRel) {
-            self.thread.unpark();
         }
     }
 }
@@ -233,7 +200,7 @@ impl ServerHandle {
             let _ = t.join();
         }
         if let Some(dur) = &self.durable {
-            // Workers are parked for good; a final barrier makes a clean
+            // The io threads have exited; a final barrier makes a clean
             // shutdown lose nothing even under the batch policy.
             if let Err(e) = dur.sync() {
                 eprintln!("jiffy-server: final WAL sync failed: {e}");
@@ -274,42 +241,18 @@ pub fn serve(map: Arc<Map>, addr: &str, cfg: ServerConfig) -> std::io::Result<Se
     let stats = Arc::new(ServerStats::default());
     let mut threads = Vec::new();
 
-    // Shard workers.
-    let workers: Arc<Vec<Arc<WorkerHandle>>> = Arc::new(
-        (0..cfg.workers.max(1))
-            .map(|w| {
-                let (tx, rx) = queue::channel::<Ingress>();
-                let map = Arc::clone(&map);
-                let durable = durable.clone();
-                let stats = Arc::clone(&stats);
-                let shutdown = Arc::clone(&shutdown);
-                let sleeping = Arc::new(AtomicBool::new(false));
-                let sleeping_worker = Arc::clone(&sleeping);
-                let join = std::thread::Builder::new()
-                    .name(format!("jfs-worker-{w}"))
-                    .spawn(move || worker_loop(map, durable, rx, stats, shutdown, sleeping_worker))
-                    .expect("spawn worker");
-                let handle = Arc::new(WorkerHandle { tx, thread: join.thread().clone(), sleeping });
-                threads.push(join);
-                handle
-            })
-            .collect(),
-    );
-
     // Event-loop threads, each with its new-connection queue and poller.
     let mut io = Vec::new();
     for (i, poller) in pollers.iter().enumerate() {
         let (tx, rx) = queue::channel::<TcpStream>();
         let poller = Arc::clone(poller);
         io.push((tx, Arc::clone(&poller)));
-        let map = Arc::clone(&map);
-        let workers = Arc::clone(&workers);
-        let stats = Arc::clone(&stats);
+        let exec = Executor::new(Arc::clone(&map), durable.clone(), Arc::clone(&stats));
         let shutdown = Arc::clone(&shutdown);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("jfs-io-{i}"))
-                .spawn(move || io_loop(map, rx, poller, workers, stats, shutdown))
+                .spawn(move || io_loop(exec, rx, poller, shutdown))
                 .expect("spawn io thread"),
         );
     }
@@ -351,12 +294,8 @@ struct Conn {
     /// Encoded-but-unwritten response bytes (short writes leave a tail).
     out: Vec<u8>,
     out_at: usize,
-    resp_rx: queue::Receiver<Vec<u8>>,
-    shared: Arc<ConnShared>,
-    /// Requests routed to a worker and not yet answered.
-    owed: usize,
-    /// The client shut down its writing half: read no more, but answer
-    /// what was routed before closing.
+    /// The client shut down its writing half: read no more, but write
+    /// what it is owed before closing.
     eof: bool,
     dead: bool,
     /// The epoll events registered for the socket.
@@ -364,18 +303,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, poller: &Arc<Poller>) -> std::io::Result<Conn> {
+    fn new(stream: TcpStream, poller: &Poller) -> std::io::Result<Conn> {
         let watching = EPOLLIN | EPOLLRDHUP;
         poller.add(stream.as_raw_fd(), watching)?;
-        let (resp_tx, resp_rx) = queue::channel();
         Ok(Conn {
             stream,
             dec: FrameDecoder::new(),
             out: Vec::new(),
             out_at: 0,
-            resp_rx,
-            shared: Arc::new(ConnShared { resp_tx, poller: Arc::clone(poller) }),
-            owed: 0,
             eof: false,
             dead: false,
             watching,
@@ -383,67 +318,86 @@ impl Conn {
     }
 
     /// Whether the io thread is done with this connection: it failed, or
-    /// the client hung up and is owed nothing more.
+    /// the client hung up and every response is written. Checked only
+    /// between sweeps, when no put of the connection awaits its ack.
     fn finished(&self) -> bool {
-        self.dead || (self.eof && self.owed == 0 && self.out_at == self.out.len())
+        self.dead || (self.eof && self.out_at == self.out.len())
     }
 
-    /// The write buffer, its consumed prefix dropped once all of it is.
-    fn out_buf(&mut self) -> &mut Vec<u8> {
+    /// Encode `resp` behind what is buffered, dropping the consumed
+    /// prefix of the write buffer first once all of it is.
+    fn answer(&mut self, resp: &Response) {
         if self.out_at > 0 && self.out_at == self.out.len() {
             self.out.clear();
             self.out_at = 0;
         }
-        &mut self.out
+        encode_response(&mut self.out, resp);
     }
 
-    /// Answer a request on the io thread itself, behind what is buffered.
-    fn answer(&mut self, resp: &Response) {
-        encode_response(self.out_buf(), resp);
-    }
-
-    /// One sweep: write what is queued, then read and route what arrived
-    /// (what the io thread answers itself goes out next sweep). On a
-    /// 2-vCPU VM, writing first served 8 % more `serve_mixed` requests per
-    /// second at saturation than reading first. Returns whether anything
-    /// moved.
-    fn sweep(
-        &mut self,
-        read_buf: &mut [u8],
-        splits: &[u64],
-        workers: &[Arc<WorkerHandle>],
-        stats: &ServerStats,
-    ) -> bool {
-        let mut progressed = self.pump_out();
+    /// Read what arrived and execute every complete request in it (the
+    /// responses are written later in the sweep). Returns whether
+    /// anything moved.
+    fn read(&mut self, idx: usize, read_buf: &mut [u8], exec: &mut Executor) -> bool {
         if self.dead || self.eof {
-            return progressed;
+            return false;
         }
         match self.stream.read(read_buf) {
             Ok(0) => {
                 self.eof = true;
-                progressed = true;
+                true
             }
             Ok(n) => {
-                progressed = true;
                 self.dec.extend(&read_buf[..n]);
-                drain_frames(self, splits, workers, stats);
+                self.drain_frames(idx, exec);
+                true
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => self.dead = true,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => false,
+            Err(_) => {
+                self.dead = true;
+                false
+            }
         }
-        progressed
     }
 
-    /// Move queued responses into the write buffer and flush what the
-    /// socket will take; returns whether any bytes moved.
+    /// Decode every complete frame buffered and execute it.
+    fn drain_frames(&mut self, idx: usize, exec: &mut Executor) {
+        loop {
+            match self.dec.next_frame() {
+                Ok(None) => return,
+                Ok(Some(payload)) => match decode_request(&payload) {
+                    Ok(req) => {
+                        if let Some(resp) = exec.execute(idx, req) {
+                            self.answer(&resp);
+                        }
+                    }
+                    Err(_) => {
+                        // Framing is intact — reject this request, keep the
+                        // connection. Echo the id when it was readable.
+                        let id = payload
+                            .get(..8)
+                            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                            .unwrap_or(0);
+                        self.answer(&Response::Error { id });
+                    }
+                },
+                Err(WireError::BadLength(_)) | Err(WireError::Malformed(_)) => {
+                    // Unsynchronized stream: best-effort error, then close
+                    // this connection only — the event loop and its other
+                    // connections are unaffected.
+                    self.answer(&Response::Error { id: 0 });
+                    self.pump_out();
+                    self.dead = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Write what the socket will take of the buffered responses;
+    /// returns whether any bytes moved.
     fn pump_out(&mut self) -> bool {
         let mut progressed = false;
-        while let Some(frame) = self.resp_rx.recv() {
-            self.owed -= 1;
-            self.out_buf().extend_from_slice(&frame);
-            progressed = true;
-        }
         while self.out_at < self.out.len() {
             match self.stream.write(&self.out[self.out_at..]) {
                 Ok(0) => {
@@ -480,153 +434,131 @@ impl Conn {
     }
 }
 
-/// Pick the shard worker for `key` from the cached split points (the
-/// shard whose range holds the key, folded onto the worker set).
-fn route(splits: &[u64], key: u64, workers: usize) -> usize {
-    splits.partition_point(|s| *s <= key) % workers
-}
-
-/// Take every connection the acceptor handed over; returns whether any.
-/// A socket epoll refuses is dropped, which closes it.
-fn adopt(
-    new_conns: &mut queue::Receiver<TcpStream>,
-    conns: &mut Vec<Conn>,
-    poller: &Arc<Poller>,
-) -> bool {
-    let mut any = false;
-    while let Some(stream) = new_conns.recv() {
-        any = true;
-        if let Ok(conn) = Conn::new(stream, poller) {
-            conns.push(conn);
-        }
-    }
-    any
-}
-
-fn io_loop(
+/// What an io thread executes requests against, and the run of puts its
+/// current sweep has decoded.
+struct Executor {
     map: Arc<Map>,
-    mut new_conns: queue::Receiver<TcpStream>,
-    poller: Arc<Poller>,
-    workers: Arc<Vec<Arc<WorkerHandle>>>,
+    durable: Option<Arc<DurableStore>>,
     stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut splits: Vec<u64> = map.splits();
-    let mut iter = 0u64;
-    let mut idle_streak = 0u32;
-    let mut read_buf = vec![0u8; 64 * 1024];
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return; // drops (closes) every owned connection
-        }
-        iter += 1;
-        if iter % 64 == 0 {
-            // Refresh routing affinity: cheap relative to 64 polls, and
-            // keeps batches single-shard across live splits/merges.
-            splits = map.splits();
-        }
-        let mut progressed = adopt(&mut new_conns, &mut conns, &poller);
-        for conn in conns.iter_mut() {
-            progressed |= conn.sweep(&mut read_buf, &splits, &workers, &stats);
-            conn.watch(&poller);
-        }
-        conns.retain(|c| !c.finished());
-        if progressed {
-            idle_streak = 0;
-            continue;
-        }
-        idle_streak += 1;
-        if idle_streak <= IO_SPIN {
-            std::thread::yield_now();
-            continue;
-        }
-        // Declare sleep, then look once more at every queue a producer
-        // rings about: what it enqueued before seeing the flag is found
-        // here (ARCHITECTURE.md, "Io-thread readiness").
-        poller.prepare_to_sleep();
-        let mut found = adopt(&mut new_conns, &mut conns, &poller);
-        for conn in conns.iter_mut() {
-            found |= conn.pump_out();
-        }
-        if found {
-            poller.wake_up();
-        } else {
-            poller.sleep(IO_BACKSTOP);
-        }
-        idle_streak = 0;
-    }
+    /// The sweep's puts, across all connections, awaiting one batch.
+    run: Vec<BatchOp<u64, u64>>,
+    /// Per put in `run`: its connection's index and its request id.
+    run_ids: Vec<(usize, u64)>,
+    /// Installed puts' acks, by connection index, added to the write
+    /// buffers once the sweep ends (no two connections borrowed at once;
+    /// the wire promises no order, so an ack may follow later replies).
+    acks: Vec<(usize, Response)>,
 }
 
-/// Decode every complete frame buffered on `conn` and route it.
-fn drain_frames(
-    conn: &mut Conn,
-    splits: &[u64],
-    workers: &[Arc<WorkerHandle>],
-    stats: &ServerStats,
-) {
-    loop {
-        match conn.dec.next_frame() {
-            Ok(None) => return,
-            Ok(Some(payload)) => match decode_request(&payload) {
-                Ok(req) => route_request(conn, req, splits, workers, stats),
-                Err(_) => {
-                    // Framing is intact — reject this request, keep the
-                    // connection. Echo the id when it was readable.
-                    let id = payload
-                        .get(..8)
-                        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                        .unwrap_or(0);
-                    conn.answer(&Response::Error { id });
+impl Executor {
+    fn new(map: Arc<Map>, durable: Option<Arc<DurableStore>>, stats: Arc<ServerStats>) -> Self {
+        Executor { map, durable, stats, run: Vec::new(), run_ids: Vec::new(), acks: Vec::new() }
+    }
+
+    /// Execute one request from the sweep's connection `idx`: a put joins
+    /// the run (its ack comes with the run's install); anything else runs
+    /// now and its response is returned.
+    fn execute(&mut self, idx: usize, req: Request) -> Option<Response> {
+        // The barrier: this connection's puts still in the run install
+        // before anything else it sent. A connection's puts sit at the
+        // end of the run while it is read, so the last one tells.
+        let owes_puts = self.run_ids.last().is_some_and(|&(c, _)| c == idx);
+        if owes_puts && !matches!(req, Request::Put { .. }) {
+            self.flush();
+        }
+        let resp = match req {
+            Request::Put { id, key, val } => {
+                self.run.push(BatchOp::Put(key, val));
+                self.run_ids.push((idx, id));
+                if self.run.len() >= COALESCE_MAX {
+                    self.flush();
                 }
-            },
-            Err(WireError::BadLength(_)) | Err(WireError::Malformed(_)) => {
-                // Unsynchronized stream: best-effort error, then close
-                // this connection only — the event loop and its other
-                // connections are unaffected.
-                conn.answer(&Response::Error { id: 0 });
-                conn.pump_out();
-                conn.dead = true;
-                return;
+                return None;
+            }
+            Request::Get { id, key } => {
+                self.stats.direct_ops.fetch_add(1, Ordering::Relaxed);
+                Response::Get { id, val: self.map.get(&key) }
+            }
+            Request::Remove { id, key } => {
+                self.stats.direct_ops.fetch_add(1, Ordering::Relaxed);
+                match &self.durable {
+                    Some(d) => match durably(d.remove(&key)) {
+                        Some(had) => Response::Remove { id, had },
+                        None => Response::Error { id },
+                    },
+                    None => Response::Remove { id, had: self.map.remove(&key) },
+                }
+            }
+            Request::Scan { id, lo, limit } => {
+                self.stats.direct_ops.fetch_add(1, Ordering::Relaxed);
+                Response::Scan { id, entries: self.map.scan_collect(&lo, limit as usize) }
+            }
+            Request::Txn { id, ops } => {
+                self.stats.txns.fetch_add(1, Ordering::Relaxed);
+                let ops: Vec<_> = ops
+                    .into_iter()
+                    .map(|(k, v)| match v {
+                        Some(v) => BatchOp::Put(k, v),
+                        None => BatchOp::Remove(k),
+                    })
+                    .collect();
+                if ops.is_empty() || self.install(Batch::new(ops)) {
+                    Response::Txn { id }
+                } else {
+                    Response::Error { id }
+                }
+            }
+            Request::Stats { id } => Response::Stats { id, stats: self.stats.snapshot() },
+        };
+        Some(resp)
+    }
+
+    /// Install the run — a plain put for a run of one, else ONE Jiffy
+    /// batch (under durability also one WAL append per touched stripe
+    /// and, under `fsync`, one group-commit sync) — and only then ack its
+    /// puts into `acks`. The ack is the client's linearization witness,
+    /// and under `fsync` its durability witness too.
+    fn flush(&mut self) {
+        let ok = match self.run.len() {
+            0 => return,
+            1 => {
+                // A lone put gains nothing from the batch protocol.
+                let Some(BatchOp::Put(k, v)) = self.run.pop() else { unreachable!() };
+                self.stats.direct_ops.fetch_add(1, Ordering::Relaxed);
+                match &self.durable {
+                    Some(d) => durably(d.put(k, v)).is_some(),
+                    None => {
+                        self.map.put(k, v);
+                        true
+                    }
+                }
+            }
+            n => {
+                self.stats.installed_batches.fetch_add(1, Ordering::Relaxed);
+                self.stats.coalesced_puts.fetch_add(n as u64, Ordering::Relaxed);
+                // Drained, not taken: the run keeps its capacity.
+                let batch = Batch::new(self.run.drain(..).collect());
+                self.install(batch)
+            }
+        };
+        for (c, id) in self.run_ids.drain(..) {
+            let resp = if ok { Response::Put { id } } else { Response::Error { id } };
+            self.acks.push((c, resp));
+        }
+    }
+
+    /// Install `batch` atomically (the elastic map runs a cross-shard
+    /// set through two-phase), logged when durability is on; whether
+    /// the log took it.
+    fn install(&self, batch: Batch<u64, u64>) -> bool {
+        match &self.durable {
+            Some(d) => durably(d.batch_update(batch)).is_some(),
+            None => {
+                self.map.batch_update(batch);
+                true
             }
         }
     }
-}
-
-/// Send `req` where it executes: point ops, scans and transactions to a
-/// shard worker (affinity-routed); `Stats` answered inline — counters
-/// are monotonic and order against nothing.
-fn route_request(
-    conn: &mut Conn,
-    req: Request,
-    splits: &[u64],
-    workers: &[Arc<WorkerHandle>],
-    stats: &ServerStats,
-) {
-    let w = match &req {
-        Request::Get { key, .. } | Request::Put { key, .. } | Request::Remove { key, .. } => {
-            route(splits, *key, workers.len())
-        }
-        Request::Scan { lo, .. } => route(splits, *lo, workers.len()),
-        Request::Txn { ops, .. } => {
-            route(splits, ops.first().map(|(k, _)| *k).unwrap_or(0), workers.len())
-        }
-        Request::Stats { id } => {
-            conn.answer(&Response::Stats { id: *id, stats: stats.snapshot() });
-            return;
-        }
-    };
-    conn.owed += 1;
-    workers[w].send(Ingress { conn: Arc::clone(&conn.shared), req });
-}
-
-/// Encode and enqueue one response on the connection's response queue,
-/// then wake its io thread if it sleeps. A worker's only way to answer.
-fn respond(conn: &ConnShared, resp: &Response) {
-    let mut buf = Vec::with_capacity(resp.frame_len());
-    encode_response(&mut buf, resp);
-    conn.resp_tx.send(buf);
-    conn.poller.notify();
 }
 
 /// Unwrap a durable write's result, reporting (not panicking on) disk
@@ -645,147 +577,68 @@ fn durably<T>(r: std::io::Result<T>) -> Option<T> {
     }
 }
 
-fn worker_loop(
-    map: Arc<Map>,
-    durable: Option<Arc<DurableStore>>,
-    mut rx: queue::Receiver<Ingress>,
-    stats: Arc<ServerStats>,
-    shutdown: Arc<AtomicBool>,
-    sleeping: Arc<AtomicBool>,
-) {
-    // The coalescing run: queued single-key puts awaiting one batch.
-    let mut run_ops: Vec<BatchOp<u64, u64>> = Vec::new();
-    let mut run_resps: Vec<(Arc<ConnShared>, u64)> = Vec::new();
-
-    let flush = |run_ops: &mut Vec<BatchOp<u64, u64>>,
-                 run_resps: &mut Vec<(Arc<ConnShared>, u64)>| {
-        let ok = match run_ops.len() {
-            0 => return,
-            1 => {
-                // A lone put gains nothing from the batch protocol.
-                let Some(BatchOp::Put(k, v)) = run_ops.pop() else { unreachable!() };
-                stats.direct_ops.fetch_add(1, Ordering::Relaxed);
-                match &durable {
-                    Some(d) => durably(d.put(k, v)).is_some(),
-                    None => {
-                        map.put(k, v);
-                        true
-                    }
-                }
-            }
-            n => {
-                // N queued puts -> ONE Jiffy batch (§3.3.2 install; the
-                // elastic map runs cross-shard sets through two-phase).
-                // Under durability this is also ONE WAL append per
-                // touched stripe and — under `fsync` — one group-commit
-                // sync covering all n puts.
-                stats.installed_batches.fetch_add(1, Ordering::Relaxed);
-                stats.coalesced_puts.fetch_add(n as u64, Ordering::Relaxed);
-                let batch = Batch::new(std::mem::take(run_ops));
-                match &durable {
-                    Some(d) => durably(d.batch_update(batch)).is_some(),
-                    None => {
-                        map.batch_update(batch);
-                        true
-                    }
-                }
-            }
-        };
-        // Respond only after the writes are installed (and, under
-        // `fsync`, synced): the response is the client's linearization
-        // witness — and under `fsync` its durability witness too.
-        for (conn, id) in run_resps.drain(..) {
-            let resp = if ok { Response::Put { id } } else { Response::Error { id } };
-            respond(&conn, &resp);
+/// Take every connection the acceptor handed over; returns whether any.
+/// A socket epoll refuses is dropped, which closes it.
+fn adopt(
+    new_conns: &mut queue::Receiver<TcpStream>,
+    conns: &mut Vec<Conn>,
+    poller: &Poller,
+) -> bool {
+    let mut any = false;
+    while let Some(stream) = new_conns.recv() {
+        any = true;
+        if let Ok(conn) = Conn::new(stream, poller) {
+            conns.push(conn);
         }
-    };
+    }
+    any
+}
 
-    // A message taken by the pre-park re-check, handled next iteration.
-    let mut carried: Option<Ingress> = None;
+fn io_loop(
+    mut exec: Executor,
+    mut new_conns: queue::Receiver<TcpStream>,
+    poller: Arc<Poller>,
+    shutdown: Arc<AtomicBool>,
+) {
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut read_buf = vec![0u8; 64 * 1024];
+    let mut last_busy = Instant::now();
     loop {
-        match carried.take().or_else(|| rx.recv()) {
-            Some(Ingress { conn, req }) => match req {
-                Request::Put { id, key, val } => {
-                    run_ops.push(BatchOp::Put(key, val));
-                    run_resps.push((conn, id));
-                    if run_ops.len() >= COALESCE_MAX {
-                        flush(&mut run_ops, &mut run_resps);
-                    }
-                }
-                Request::Get { id, key } => {
-                    flush(&mut run_ops, &mut run_resps);
-                    let val = map.get(&key);
-                    stats.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    respond(&conn, &Response::Get { id, val });
-                }
-                Request::Remove { id, key } => {
-                    flush(&mut run_ops, &mut run_resps);
-                    stats.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    let resp = match &durable {
-                        Some(d) => match durably(d.remove(&key)) {
-                            Some(had) => Response::Remove { id, had },
-                            None => Response::Error { id },
-                        },
-                        None => Response::Remove { id, had: map.remove(&key) },
-                    };
-                    respond(&conn, &resp);
-                }
-                Request::Scan { id, lo, limit } => {
-                    flush(&mut run_ops, &mut run_resps);
-                    let entries = map.scan_collect(&lo, limit as usize);
-                    stats.direct_ops.fetch_add(1, Ordering::Relaxed);
-                    respond(&conn, &Response::Scan { id, entries });
-                }
-                Request::Txn { id, ops } => {
-                    flush(&mut run_ops, &mut run_resps);
-                    stats.txns.fetch_add(1, Ordering::Relaxed);
-                    let ok = if ops.is_empty() {
-                        true
-                    } else {
-                        let batch = Batch::new(
-                            ops.into_iter()
-                                .map(|(k, v)| match v {
-                                    Some(v) => BatchOp::Put(k, v),
-                                    None => BatchOp::Remove(k),
-                                })
-                                .collect(),
-                        );
-                        match &durable {
-                            Some(d) => durably(d.batch_update(batch)).is_some(),
-                            None => {
-                                map.batch_update(batch);
-                                true
-                            }
-                        }
-                    };
-                    let resp = if ok { Response::Txn { id } } else { Response::Error { id } };
-                    respond(&conn, &resp);
-                }
-                Request::Stats { id } => {
-                    flush(&mut run_ops, &mut run_resps);
-                    respond(&conn, &Response::Stats { id, stats: stats.snapshot() });
-                }
-            },
-            None => {
-                // Queue drained: install what we coalesced, then sleep
-                // until a producer wakes us. The flag + park protocol is
-                // deliberate: blocking in `std`'s `recv_timeout` instead
-                // measured 7 % slower end to end (ARCHITECTURE.md,
-                // "Worker parking").
-                flush(&mut run_ops, &mut run_resps);
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                sleeping.store(true, Ordering::Release);
-                // Re-check after publishing `sleeping`: a producer that
-                // enqueued before seeing the flag owes us no unpark.
-                carried = rx.recv();
-                if carried.is_none() {
-                    // Timeout bounds a lost wake (producer checked
-                    // `sleeping` before we set it).
-                    std::thread::park_timeout(Duration::from_millis(1));
-                }
-                sleeping.store(false, Ordering::Release);
+        if shutdown.load(Ordering::Acquire) {
+            return; // drops (closes) every owned connection
+        }
+        // One sweep: read and execute everything that arrived, install
+        // the run and ack it, then write.
+        let mut progressed = adopt(&mut new_conns, &mut conns, &poller);
+        for (idx, conn) in conns.iter_mut().enumerate() {
+            progressed |= conn.read(idx, &mut read_buf, &mut exec);
+        }
+        exec.flush();
+        for (idx, resp) in exec.acks.drain(..) {
+            conns[idx].answer(&resp);
+        }
+        for conn in conns.iter_mut() {
+            progressed |= conn.pump_out();
+            conn.watch(&poller);
+        }
+        conns.retain(|c| !c.finished());
+        if progressed {
+            last_busy = Instant::now();
+            continue;
+        }
+        loop {
+            // Declare sleep, then look once more at the one queue a
+            // producer rings about: a connection handed over before the
+            // acceptor saw the flag is found here (ARCHITECTURE.md,
+            // "Io-thread readiness").
+            poller.prepare_to_sleep();
+            if adopt(&mut new_conns, &mut conns, &poller) {
+                poller.wake_up();
+                break;
+            }
+            let ticking = last_busy.elapsed() < IO_LINGER;
+            if poller.sleep(if ticking { IO_TICK } else { IO_BACKSTOP }) || !ticking {
+                break;
             }
         }
     }

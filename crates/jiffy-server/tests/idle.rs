@@ -38,7 +38,7 @@ fn idle_server_is_idle_and_shuts_down_at_once() {
         c.put(i as u64, 1).unwrap();
         c.stats().unwrap();
     }
-    // Let the io threads finish their spin and fall asleep.
+    // Let the io threads finish their last sweep and fall asleep.
     std::thread::sleep(Duration::from_millis(50));
 
     let before = thread_cpu_ns("jfs-io");

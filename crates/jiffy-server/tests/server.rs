@@ -1,7 +1,8 @@
 //! End-to-end tests over real loopback sockets: protocol round trips,
 //! framing edge cases (short writes, garbage, oversized lengths),
-//! coalescing proof, a Wing–Gong-checked mixed workload racing a live
-//! split, and the 1k-connection soak through a split + merge.
+//! coalescing proof, the per-connection put barrier, group commit across
+//! connections, a Wing–Gong-checked mixed workload racing a live split,
+//! and the 1k-connection soak through a split + merge.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -159,7 +160,7 @@ fn short_writes_one_byte_at_a_time() {
 }
 
 /// A well-framed but undecodable payload earns an `Error` response and
-/// the connection keeps working; the worker never dies.
+/// the connection keeps working; the io thread never dies.
 #[test]
 fn garbage_frame_gets_error_but_connection_survives() {
     let server = start(1, 1 << 16, ServerConfig::default());
@@ -230,8 +231,8 @@ fn pipelined_puts_coalesce_into_batches() {
 
     let mut coalesced = false;
     for attempt in 0..10u64 {
-        // One flush carrying 256 puts: the io thread routes them all
-        // before the worker can drain, so the worker sees a long run.
+        // One flush carrying 256 puts: the io thread decodes them in one
+        // or a few sweeps, so the run it installs is long.
         let base = attempt * 1_000;
         let mut ids = Vec::new();
         for i in 0..256u64 {
@@ -255,6 +256,157 @@ fn pipelined_puts_coalesce_into_batches() {
     }
     assert!(coalesced, "no put run ever coalesced into a batch across 10 pipelined bursts");
     server.shutdown();
+}
+
+/// xorshift64: a fixed key or pause schedule that repeats run to run.
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// Send `reqs` on `c` in one flush and return their responses in
+/// request order (matched by id: the wire promises no order).
+fn pipeline(c: &mut Client, reqs: &[Request]) -> Vec<Response> {
+    for req in reqs {
+        c.send(req);
+    }
+    c.flush().unwrap();
+    let mut got: Vec<Option<Response>> = vec![None; reqs.len()];
+    for _ in reqs {
+        let resp = c.recv_response().unwrap();
+        let at = reqs.iter().position(|r| r.id() == resp.id()).expect("a response to a request");
+        assert!(got[at].replace(resp).is_none(), "two responses to request {}", reqs[at].id());
+    }
+    got.into_iter().map(Option::unwrap).collect()
+}
+
+/// A pipelined `put k; get k` in one flush on one connection reads the
+/// put: the io thread installs a connection's puts still in its run
+/// before anything else that connection sent. Every round writes a new
+/// value to a random key, so a get that overtook its put would read an
+/// older one (or none).
+#[test]
+fn pipelined_put_then_get_reads_the_put() {
+    let server = start(2, 1 << 16, ServerConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    for round in 1..=200u64 {
+        rng = xorshift(rng);
+        let key = rng % (1 << 16);
+        let (put, get) = (c.next_id(), c.next_id());
+        let got = pipeline(
+            &mut c,
+            &[Request::Put { id: put, key, val: round }, Request::Get { id: get, key }],
+        );
+        assert!(matches!(got[0], Response::Put { .. }), "round {round}: {:?}", got[0]);
+        assert!(
+            matches!(got[1], Response::Get { val: Some(v), .. } if v == round),
+            "round {round}: get of key {key} missed the put before it: {:?}",
+            got[1]
+        );
+    }
+    server.shutdown();
+}
+
+/// The cross-connection half of the barrier: connection A's `put k` races
+/// connection B's `get k` through one io thread, often inside one sweep.
+/// B's get runs at once rather than waiting for A's run, and either
+/// answer is linearizable: the put is unacknowledged, so B reads the old
+/// value or the new one, nothing else. Once A holds its ack, B reads the
+/// new value.
+#[test]
+fn put_racing_get_on_another_connection_is_linearizable() {
+    let server = start(2, 1 << 16, ServerConfig { io_threads: 1, ..ServerConfig::default() });
+    let mut a = Client::connect(server.addr()).unwrap();
+    let mut b = Client::connect(server.addr()).unwrap();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut last = std::collections::HashMap::new();
+    for round in 1..=200u64 {
+        rng = xorshift(rng);
+        let key = rng % 64;
+        let old = last.insert(key, round);
+        let put = a.next_id();
+        a.send(&Request::Put { id: put, key, val: round });
+        let get = b.next_id();
+        b.send(&Request::Get { id: get, key });
+        a.flush().unwrap();
+        b.flush().unwrap();
+        match b.recv_response().unwrap() {
+            Response::Get { id, val } => {
+                assert_eq!(id, get);
+                assert!(
+                    val == old || val == Some(round),
+                    "round {round}: key {key} read {val:?}, neither {old:?} nor Some({round})"
+                );
+            }
+            other => panic!("round {round}: expected a Get reply, got {other:?}"),
+        }
+        assert!(matches!(a.recv_response().unwrap(), Response::Put { id } if id == put));
+        assert_eq!(b.get(key).unwrap(), Some(round), "round {round}: an acked put is not visible");
+    }
+    server.shutdown();
+}
+
+/// Under `fsync`, one WAL sync covers puts from many connections: the
+/// io thread's run spans its whole sweep, not one connection's read. 32
+/// connections on one io thread each send one put, all to keys of one
+/// WAL stripe, before any of them reads. A run per connection would sync
+/// 32 times; a run per sweep syncs once per sweep that found puts (two,
+/// typically: the first put wakes the thread alone).
+#[test]
+fn fsync_group_commit_spans_connections() {
+    const CONNS: u64 = 32;
+    let dir = std::env::temp_dir().join(format!("jfs-group-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = start(
+        2,
+        1 << 16,
+        ServerConfig {
+            io_threads: 1,
+            durability: jiffy_server::Durability::Fsync,
+            data_dir: Some(dir.clone()),
+        },
+    );
+    let wal_syncs = || {
+        let mut snap = jiffy_obs::ObsSnapshot::default();
+        server.durable().expect("durable store").attach_obs(&mut snap);
+        snap.histograms
+            .iter()
+            .find(|(name, _)| name == "dur.sync_nanos")
+            .map_or(0, |(_, h)| h.count)
+    };
+    let mut conns: Vec<Client> =
+        (0..CONNS).map(|_| Client::connect(server.addr()).unwrap()).collect();
+    // A round trip on each: every connection is adopted and idle.
+    for c in &mut conns {
+        c.stats().unwrap();
+    }
+    let durable = server.durable().expect("durable store");
+    let keys = (0u64..).filter(|k| durable.stripe_of(*k) == durable.stripe_of(0));
+    let before = wal_syncs();
+    let ids: Vec<u64> = conns
+        .iter_mut()
+        .zip(keys)
+        .map(|(c, key)| {
+            let id = c.next_id();
+            c.send(&Request::Put { id, key, val: key })
+        })
+        .collect();
+    for c in &mut conns {
+        c.flush().unwrap();
+    }
+    for (c, id) in conns.iter_mut().zip(ids) {
+        match c.recv_response().unwrap() {
+            Response::Put { id: got } => assert_eq!(got, id),
+            other => panic!("expected a Put ack, got {other:?}"),
+        }
+    }
+    let syncs = wal_syncs() - before;
+    assert!(syncs <= 8, "{CONNS} puts from {CONNS} connections took {syncs} WAL syncs");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 struct Recorder {
@@ -282,8 +434,8 @@ impl Recorder {
 
 /// Mixed point ops + multi-key transactions + scans from independent
 /// connections, racing a live shard split and merge — the end-to-end
-/// history (timed at the client, across the network, through ingress
-/// queues and coalescing) must still be linearizable.
+/// history (timed at the client, across the network, through the io
+/// threads' coalescing) must still be linearizable.
 #[test]
 fn wing_gong_mixed_workload_races_live_split() {
     for round in 0..5u64 {
@@ -393,7 +545,7 @@ fn soak_1k_connections_through_split_and_merge() {
     let server = serve(
         Arc::clone(&map),
         "127.0.0.1:0",
-        ServerConfig { io_threads: 2, workers: 2, ..ServerConfig::default() },
+        ServerConfig { io_threads: 2, ..ServerConfig::default() },
     )
     .unwrap();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -428,8 +580,8 @@ fn soak_1k_connections_through_split_and_merge() {
                     .collect();
                 // Each connection owns a disjoint key range, strided
                 // across the whole key space so the 1024 connections
-                // exercise every shard worker (and their pipelined
-                // requests genuinely fan out and interleave).
+                // exercise every shard (and their pipelined puts land
+                // in runs that span shards).
                 let stride = key_space / (DRIVERS * CONNS_PER_DRIVER) as u64;
                 let key_base = |c: usize| ((d * CONNS_PER_DRIVER + c) as u64) * stride;
 
@@ -463,8 +615,7 @@ fn soak_1k_connections_through_split_and_merge() {
                         expect.push(ids);
                     }
                     // ...then collect every acknowledgement. Matching is
-                    // by id: different-key requests fan out to different
-                    // shard workers and may complete out of order.
+                    // by id: the protocol promises no order on the wire.
                     for (c, conn) in conns.iter_mut().enumerate() {
                         let mut pending: std::collections::HashSet<u64> =
                             expect[c].iter().copied().collect();
@@ -509,7 +660,8 @@ fn soak_1k_connections_through_split_and_merge() {
 
 /// A client that writes its requests, shuts down its writing half and
 /// reads to the end must get every response: the server may not drop a
-/// connection at end of stream while a worker still owes it answers.
+/// connection at end of stream while it still owes it answers (here,
+/// put acks that wait for the sweep's batch to install).
 #[test]
 fn half_closed_client_gets_every_response() {
     let server = start(2, 1 << 16, ServerConfig::default());
@@ -583,11 +735,13 @@ fn slow_reader_gets_every_byte() {
     server.shutdown();
 }
 
-/// Depth-1 round trips on one connection, alternating a `Get` (a worker
-/// answers, then rings the io thread) with a `Stats` (the io thread
-/// answers), with seeded client pauses of 0–300 µs so the io thread
-/// falls asleep before many of them. A lost wake-up shows as a round
-/// trip that waits out the io thread's backstop (1 s).
+/// Depth-1 round trips on one connection, alternating a `Get` with a
+/// `Stats`, with seeded client pauses of 0–300 µs so the io thread falls
+/// asleep before many of them. Every request is answered by the io thread
+/// that reads it, so nothing but the socket wakes it: this guards that
+/// it sleeps only in `epoll_wait` on its sockets, and sweeps again after
+/// any sweep that moved bytes. A lost wake-up shows as a round trip that
+/// waits out the io thread's backstop (1 s).
 #[test]
 fn no_round_trip_waits_out_the_backstop() {
     let server = start(2, 1 << 16, ServerConfig::default());
@@ -596,10 +750,7 @@ fn no_round_trip_waits_out_the_backstop() {
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let mut slowest = Duration::ZERO;
     for i in 0..5_000u32 {
-        // xorshift64: a fixed pause schedule that repeats run to run.
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
+        rng = xorshift(rng);
         std::thread::sleep(Duration::from_micros(rng % 301));
         let t0 = std::time::Instant::now();
         if i % 2 == 0 {
