@@ -16,7 +16,7 @@ compile_error!(
      the server has no portable fallback"
 );
 
-use std::ffi::c_int;
+use std::ffi::{c_int, c_long, c_void};
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -50,12 +50,32 @@ struct EpollEvent {
     data: u64,
 }
 
+/// `struct timespec` as glibc lays it out by default on Linux: two `long`s.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn eventfd(initval: u32, flags: c_int) -> c_int;
 }
+
+/// Whether the kernel has `epoll_pwait2` (Linux 5.11+), which takes its
+/// timeout in nanoseconds. Cleared at the first `ENOSYS`; from then on
+/// waits go through `epoll_wait`, their timeouts rounded up to whole
+/// milliseconds.
+static PWAIT2: AtomicBool = AtomicBool::new(true);
 
 /// A `-1`-on-error return as an `io::Result` owning the fd it made.
 ///
@@ -140,27 +160,51 @@ impl Poller {
     /// wait ended before its timeout.
     pub(crate) fn sleep(&self, timeout: Duration) -> bool {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        let timeout = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
-        // SAFETY: the kernel writes at most `events.len()` entries into
-        // `events`, which lives across the call.
-        let n = unsafe {
-            epoll_wait(self.epoll.as_raw_fd(), events.as_mut_ptr(), events.len() as c_int, timeout)
-        };
+        let n = self.wait(&mut events, timeout);
         self.wake_up();
-        if n < 0 {
-            let e = io::Error::last_os_error();
+        let n = match n {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return true,
             // The only other errors name a bad fd or buffer: a bug here.
-            assert_eq!(e.kind(), io::ErrorKind::Interrupted, "epoll_wait: {e}");
-            return true;
-        }
+            Err(e) => panic!("epoll wait: {e}"),
+        };
         // `{ ev.data }` copies the field out: a packed field takes no `&`.
-        if events[..n as usize].iter().any(|ev| { ev.data } == WAKE_TOKEN) {
+        if events[..n].iter().any(|ev| { ev.data } == WAKE_TOKEN) {
             // Reading resets the count; `WouldBlock` means a racing read
             // already did. Level-triggered, an unread count would only
             // cost one spurious wake.
             let _ = (&self.wake).read(&mut [0u8; 8]);
         }
         n > 0
+    }
+
+    /// One `epoll_pwait2` (or, on a kernel without it, `epoll_wait`) into
+    /// `events`; how many it filled.
+    fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> io::Result<usize> {
+        let (epfd, max) = (self.epoll.as_raw_fd(), events.len() as c_int);
+        if PWAIT2.load(Ordering::Relaxed) {
+            let ts = Timespec {
+                tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+                tv_nsec: timeout.subsec_nanos() as c_long,
+            };
+            // SAFETY: the kernel writes at most `max` entries into `events`
+            // and reads `ts`, both live across the call; a null sigmask
+            // leaves the signal mask alone.
+            let n = unsafe { epoll_pwait2(epfd, events.as_mut_ptr(), max, &ts, std::ptr::null()) };
+            let r = usize::try_from(n).map_err(|_| io::Error::last_os_error());
+            match r {
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                    PWAIT2.store(false, Ordering::Relaxed);
+                }
+                r => return r,
+            }
+        }
+        // Rounded up: a sub-millisecond timeout must not become a poll.
+        let ms = c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+        // SAFETY: the kernel writes at most `max` entries into `events`,
+        // which lives across the call.
+        let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), max, ms) };
+        usize::try_from(n).map_err(|_| io::Error::last_os_error())
     }
 
     /// Write the eventfd, unconditionally (shutdown uses this).
@@ -178,5 +222,52 @@ impl Poller {
         if self.sleeping.load(Ordering::Relaxed) && self.sleeping.swap(false, Ordering::Relaxed) {
             self.ring();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// The shortest of `rounds` timed-out sleeps of `timeout`.
+    fn shortest_sleep(poller: &Poller, timeout: Duration, rounds: usize) -> Duration {
+        (0..rounds)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(!poller.sleep(timeout), "nothing is watched or rung");
+                t0.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    /// A 100 µs sleep lasts well under a millisecond with `epoll_pwait2`,
+    /// and at least one without it (rounded up, never down to a poll).
+    /// One test, because it flips the process-wide fallback flag.
+    #[test]
+    fn sub_millisecond_timeouts_keep_their_length() {
+        let poller = Poller::new().unwrap();
+        let tick = Duration::from_micros(100);
+        let precise = shortest_sleep(&poller, tick, 20);
+        if PWAIT2.load(Ordering::Relaxed) {
+            assert!(precise >= tick, "woke before its timeout: {precise:?}");
+            assert!(precise < Duration::from_micros(900), "rounded up to {precise:?}");
+        }
+        PWAIT2.store(false, Ordering::Relaxed);
+        let fallback = shortest_sleep(&poller, tick, 3);
+        PWAIT2.store(true, Ordering::Relaxed);
+        assert!(fallback >= Duration::from_millis(1), "epoll_wait polled: {fallback:?}");
+    }
+
+    /// A ring ends a sleep at once, and the next sleep times out again.
+    #[test]
+    fn a_ring_ends_the_sleep() {
+        let poller = Poller::new().unwrap();
+        poller.ring();
+        let t0 = Instant::now();
+        assert!(poller.sleep(Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert!(!poller.sleep(Duration::from_micros(100)), "the ring was read");
     }
 }

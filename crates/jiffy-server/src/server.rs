@@ -78,12 +78,16 @@ pub type DurableStore = DurableMap<Arc<Map>>;
 const COALESCE_MAX: usize = 128;
 
 /// While requests keep arriving, an idle io thread wakes at least this
-/// often. On a VM a core that halts for long wakes tens of µs late (the
-/// host deschedules it), and that wake is most of a lone request's
-/// latency; waking every millisecond keeps the halts short. A tick with
-/// nothing ready re-checks the new-connection queue and sleeps again,
-/// without a sweep.
-const IO_TICK: Duration = Duration::from_millis(1);
+/// often. On a VM a core that halts wakes at once only while the host
+/// still polls it — KVM's default halt-polling window is 200 µs — and
+/// after that the host deschedules it: the wake then comes tens of µs
+/// late, by however much the host's other load makes it, and is most of
+/// a lone request's latency. A tick of 100 µs (plus the kernel's 50 µs
+/// timer slack) keeps every halt inside the window; with a 1 ms tick the
+/// light-phase p90s moved with the host's load from run to run. A tick
+/// with nothing ready
+/// re-checks the new-connection queue and sleeps again, without a sweep.
+const IO_TICK: Duration = Duration::from_micros(100);
 
 /// How long after its last productive sweep an io thread keeps ticking;
 /// then it sleeps until there is work, or for [`IO_BACKSTOP`].
