@@ -76,7 +76,7 @@ fn two_phase_resolver<K: MapKey, V: MapValue>(
     })
 }
 
-/// A range- or hash-partitioned map over `N` Jiffy shards that all stamp
+/// A range-partitioned map over `N` Jiffy shards that all stamp
 /// writes from one shared clock.
 pub(crate) struct Layout<K, V> {
     /// `Arc` so in-flight two-phase batch resolvers can hold the shards
@@ -237,9 +237,8 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
 
     /// Consistent scan over a pinned cut, emitted as runs (the
     /// [`OrderedIndex::scan_runs`](index_api::OrderedIndex::scan_runs)
-    /// contract). Range routing walks the views in key order starting at
-    /// `lo`'s shard, crediting the shared limit run by run; hash routing
-    /// streams a k-way heap merge over bounded per-shard chunks.
+    /// contract): the views in key order, starting at `lo`'s shard,
+    /// crediting the shared limit run by run.
     pub(crate) fn scan_runs(&self, lo: &K, n: usize, sink: &mut dyn FnMut(&[K], &[V])) {
         if n == 0 {
             return;
@@ -248,19 +247,15 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
             return self.shards[0].snapshot().scan_runs(lo, n, sink);
         }
         let views = self.pin_consistent_cut();
-        if self.router.is_ordered() {
-            let mut remaining = n;
-            for view in views.iter().skip(self.router.route(lo)) {
-                if remaining == 0 {
-                    break;
-                }
-                view.scan_runs(lo, remaining, &mut |ks, vs| {
-                    sink(ks, vs);
-                    remaining -= ks.len();
-                });
+        let mut remaining = n;
+        for view in views.iter().skip(self.router.route(lo)) {
+            if remaining == 0 {
+                break;
             }
-        } else {
-            merge_scan(&views, lo, n, sink);
+            view.scan_runs(lo, remaining, &mut |ks, vs| {
+                sink(ks, vs);
+                remaining -= ks.len();
+            });
         }
     }
 
@@ -360,73 +355,6 @@ impl<K: MapKey, V: MapValue> Layout<K, V> {
     }
 }
 
-/// Per-shard chunk size for the streaming hash-route merge. Large enough
-/// to amortize the re-descent a chunk refill costs, small enough that a
-/// `scan(lo, 1_000_000)` over 8 shards buffers ~2k entries, not 8M.
-const MERGE_CHUNK: usize = 256;
-
-/// Streaming k-way merge of per-shard ascending scans (shards hold
-/// disjoint keys, so no dedup is needed), emitted as one-entry runs —
-/// hashed neighbours live on different shards, so that is what a merged
-/// run is. Each view is read in bounded chunks, copied out run by run,
-/// and refilled from its last emitted key on exhaustion, so scan memory
-/// is O(shards · chunk) instead of an O(n · shards) whole-run
-/// materialization; a min-heap orders the view fronts, so comparisons
-/// are O(n · log shards).
-///
-/// Refills restart *at* the last emitted key (scans are
-/// lower-bound-inclusive) and drop it — against an immutable pinned view
-/// it leads the first run and appears nowhere else. A short chunk marks
-/// the view exhausted: an immutable view cannot grow.
-fn merge_scan<K: MapKey, V: MapValue>(
-    views: &[View<'_, K, V>],
-    lo: &K,
-    n: usize,
-    sink: &mut dyn FnMut(&[K], &[V]),
-) {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, VecDeque};
-
-    let chunk = MERGE_CHUNK.min(n.max(1));
-    let mut runs: Vec<VecDeque<(K, V)>> = Vec::with_capacity(views.len());
-    let mut exhausted = vec![false; views.len()];
-    // The heap holds (front key, view) pairs; entries live in `runs`.
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(views.len());
-    for (i, view) in views.iter().enumerate() {
-        let mut buf = VecDeque::with_capacity(chunk);
-        view.scan_runs(lo, chunk, &mut |ks, vs| {
-            buf.extend(ks.iter().cloned().zip(vs.iter().cloned()))
-        });
-        exhausted[i] = buf.len() < chunk;
-        if let Some((k, _)) = buf.front() {
-            heap.push(Reverse((k.clone(), i)));
-        }
-        runs.push(buf);
-    }
-    let mut emitted = 0usize;
-    while emitted < n {
-        let Some(Reverse((_, i))) = heap.pop() else { break };
-        let (k, v) = runs[i].pop_front().expect("heap fronts mirror non-empty runs");
-        sink(std::slice::from_ref(&k), std::slice::from_ref(&v));
-        emitted += 1;
-        if runs[i].is_empty() && !exhausted[i] && emitted < n {
-            // Refill past the emitted key: ask for one extra slot to
-            // cover the inclusive-restart duplicate.
-            let mut seen = 0usize;
-            let buf = &mut runs[i];
-            views[i].scan_runs(&k, chunk + 1, &mut |ks, vs| {
-                let skip = usize::from(ks[0] == k);
-                seen += ks.len();
-                buf.extend(ks[skip..].iter().cloned().zip(vs[skip..].iter().cloned()));
-            });
-            exhausted[i] = seen < chunk + 1;
-        }
-        if let Some((nk, _)) = runs[i].front() {
-            heap.push(Reverse((nk.clone(), i)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,28 +414,5 @@ mod tests {
         }
         assert_eq!(runs_of(&layout, 299, 10), vec![vec![(299, 299)]]);
         assert!(runs_of(&layout, 300, 10).is_empty());
-    }
-
-    /// Run-based twin of `hash_scan_streams_across_chunk_boundaries`:
-    /// the merge refills each shard's queue from runs (dropping the
-    /// inclusive-restart duplicate that leads the first one) and must
-    /// still emit one sorted, complete, duplicate-free stream.
-    #[test]
-    fn hash_runs_stream_across_chunk_boundaries() {
-        let layout = layout(Router::hash(4));
-        let total = 6000u64; // ~5 refills of MERGE_CHUNK per shard
-        for k in 0..total {
-            layout.put(k, k * 3);
-        }
-        let flat = |lo: u64, n: usize| -> Vec<(u64, u64)> {
-            runs_of(&layout, lo, n).into_iter().flatten().collect()
-        };
-        assert_eq!(flat(0, usize::MAX), (0..total).map(|k| (k, k * 3)).collect::<Vec<_>>());
-        assert_eq!(flat(1234, 2000), (1234..3234u64).map(|k| (k, k * 3)).collect::<Vec<_>>());
-        // Limits at and around a refill boundary.
-        for n in [MERGE_CHUNK - 1, MERGE_CHUNK, MERGE_CHUNK + 1, 4 * MERGE_CHUNK + 1] {
-            assert_eq!(flat(7, n).len(), n, "limit {n}");
-        }
-        assert_eq!(flat(5998, 10), vec![(5998, 17994), (5999, 17997)]);
     }
 }

@@ -1,4 +1,4 @@
-//! **jiffy-shard** — [`ElasticJiffy`], a range/hash-partitioned sharded
+//! **jiffy-shard** — [`ElasticJiffy`], a range-partitioned sharded
 //! Jiffy map with atomic cross-shard batches, consistent cross-shard
 //! scans and online shard split/merge.
 //!
@@ -34,9 +34,8 @@
 //!   the same verdict.
 //!
 //! A static sharded map is simply an [`ElasticJiffy`] nobody asks to
-//! reshard. Range layouts can additionally be **split and merged
-//! online** (see [`ElasticJiffy::split_at`], [`Resharder`]); hash
-//! layouts serve traffic the same way but refuse reshard operations:
+//! reshard; any layout can also be **split and merged online** (see
+//! [`ElasticJiffy::split_at`], [`Resharder`]):
 //!
 //! ```
 //! use index_api::{Batch, BatchOp, OrderedIndex};
@@ -162,35 +161,6 @@ mod tests {
         model_equivalence(&sharded_jiffy(Router::range(vec![128, 256, 700])));
     }
 
-    #[test]
-    fn hash_sharded_jiffy_matches_model() {
-        model_equivalence(&sharded_jiffy(Router::hash(4)));
-    }
-
-    /// The streaming hash-route merge must refill every source across
-    /// several chunk boundaries and still emit one globally sorted,
-    /// complete, duplicate-free run (scan memory is the point of the
-    /// streaming path; correctness across refills is what this pins).
-    #[test]
-    fn hash_scan_streams_across_chunk_boundaries() {
-        let map = sharded_jiffy(Router::hash(4));
-        // 4 shards * MERGE_CHUNK = 1024 buffered entries at most; 6000
-        // keys force ~5 refills per shard during the full scan.
-        let total = 6000u64;
-        for k in 0..total {
-            map.put(k, k * 3);
-        }
-        let got = map.scan_collect(&0, usize::MAX);
-        let want: Vec<(u64, u64)> = (0..total).map(|k| (k, k * 3)).collect();
-        assert_eq!(got, want, "streamed merge must equal the full sorted run");
-        // A bounded scan from mid-space crosses refills on every shard.
-        let got = map.scan_collect(&1234, 2000);
-        let want: Vec<(u64, u64)> = (1234..3234).map(|k| (k, k * 3)).collect();
-        assert_eq!(got, want);
-        // Limits inside the first chunk still short-circuit.
-        assert_eq!(map.scan_collect(&5998, 10), vec![(5998, 17994), (5999, 17997)]);
-    }
-
     /// `debug_stats` must carry the §3.3.6 revision-structure signal per
     /// shard (not just traffic counters), and the whole-index aggregate
     /// must sum the shards — this is what an autoscaler steers on.
@@ -218,9 +188,9 @@ mod tests {
     #[test]
     fn capability_flags_are_honest() {
         // Every layout is two-phase and cut-consistent, so every layout
-        // claims both capabilities: range, hash, and the single shard
+        // claims both capabilities: several shards, and the single shard
         // that reduces to one Jiffy map.
-        for router in [Router::range(vec![500]), Router::hash(4), Router::hash(1)] {
+        for router in [Router::range(vec![500]), Router::range(vec![])] {
             let map = sharded_jiffy(router);
             assert!(map.supports_consistent_scan());
             assert!(map.supports_atomic_batch());
@@ -356,7 +326,6 @@ mod tests {
         assert_eq!(map.shard_count(), 2);
         assert_eq!(map.shards().len(), 2);
         assert_eq!(map.splits(), vec![100]);
-        assert!(map.is_range_routed());
         map.put(5, 1);
         map.put(105, 2);
         // Keys landed in their owning shards.

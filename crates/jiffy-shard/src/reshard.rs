@@ -104,10 +104,6 @@ use crate::{Router, ShardLoad, SharedClock};
 /// Errors surfaced by online reshard planning and execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReshardError {
-    /// A range-only reshard operation was attempted on a hash router.
-    /// Hash routing has no contiguous per-shard key ranges to split or
-    /// merge; re-partitioning a hash layout means rebuilding it.
-    HashRouter,
     /// The requested split point equals an existing shard boundary, so
     /// the split would create a shard owning no keys and a degenerate
     /// (non-strictly-increasing) split vector.
@@ -122,9 +118,6 @@ pub enum ReshardError {
 impl std::fmt::Display for ReshardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReshardError::HashRouter => {
-                write!(f, "hash routers have no key ranges to split or merge")
-            }
             ReshardError::BoundaryCollision => {
                 write!(f, "split point equals an existing shard boundary")
             }
@@ -280,7 +273,7 @@ impl<K: Ord, V> Migration<K, V> {
 /// the crate docs), whose shard layout can be **split and merged
 /// online**, with reads, writes, batches and scans running throughout.
 ///
-/// Point the type at a range [`Router`] and use it like any
+/// Point the type at a [`Router`] and use it like any
 /// [`OrderedIndex`]; call [`split_at`](ElasticJiffy::split_at) /
 /// [`merge_at`](ElasticJiffy::merge_at) (or run a [`Resharder`]) to
 /// reshape the layout under load. See the module docs for the migration
@@ -334,25 +327,24 @@ pub struct ElasticJiffy<K, V> {
 impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
     /// Build `router.shard_count()` Jiffy shards on one shared clock
     /// behind an elastic routing epoch. A map nobody asks to reshard is
-    /// simply a static sharded map. A hash layout serves traffic the same
-    /// way, but has no key ranges to reshape:
+    /// simply a static sharded map:
     ///
     /// ```
     /// use index_api::{Batch, BatchOp, OrderedIndex};
     /// use jiffy_shard::{ElasticJiffy, ReshardError, Router};
     ///
     /// let map: ElasticJiffy<u64, u64> =
-    ///     ElasticJiffy::with_router(Router::hash(4), Default::default());
+    ///     ElasticJiffy::with_router(Router::range(vec![100]), Default::default());
     ///
-    /// // A batch spanning several shards becomes visible at one commit
+    /// // A batch spanning both shards becomes visible at one commit
     /// // CAS, and a consistent scan can never observe half of it.
     /// map.batch_update(Batch::new(vec![BatchOp::Put(1, 10), BatchOp::Put(200, 20)]));
     /// assert_eq!(map.get(&1), Some(10));
     /// assert_eq!(map.scan_collect(&0, usize::MAX), vec![(1, 10), (200, 20)]);
     ///
-    /// // Every reshard operation on a hash layout is refused.
-    /// assert_eq!(map.split_at(100), Err(ReshardError::HashRouter));
-    /// assert_eq!(map.merge_at(0), Err(ReshardError::HashRouter));
+    /// // A reshard names a point inside a shard, or a pair of shards.
+    /// assert_eq!(map.split_at(100), Err(ReshardError::BoundaryCollision));
+    /// assert_eq!(map.merge_at(1), Err(ReshardError::ShardOutOfRange(2)));
     /// ```
     pub fn with_router(router: Router<K>, config: JiffyConfig) -> Self {
         let clock: SharedClock = Arc::new(DefaultClock::default());
@@ -382,7 +374,7 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
         self.current(guard).layout.shard_count()
     }
 
-    /// The committed layout's range boundaries (empty for hash mode).
+    /// The committed layout's range boundaries.
     pub fn splits(&self) -> Vec<K> {
         let guard = &ebr::pin();
         self.current(guard).layout.router().splits().to_vec()
@@ -392,14 +384,6 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
     pub fn migration_in_flight(&self) -> bool {
         let guard = &ebr::pin();
         self.current(guard).migration.is_some()
-    }
-
-    /// Whether the committed layout uses an ordered (range) router — the
-    /// precondition for every reshard operation. A hash-routed
-    /// `ElasticJiffy` serves traffic but cannot split or merge.
-    pub fn is_range_routed(&self) -> bool {
-        let guard = &ebr::pin();
-        self.current(guard).layout.router().is_ordered()
     }
 
     /// Handles to the committed layout's shards, in shard order
@@ -776,12 +760,10 @@ impl<K: MapKey, V: MapValue + PartialEq> ElasticJiffy<K, V> {
 /// Most entries a scan reserves room for before it has found any.
 const SCAN_RESERVE: usize = 1024;
 
-/// The owned bounds of shard `shard` under `router` (range mode).
-fn bounds_of<K: Ord + Clone + std::hash::Hash>(
-    router: &Router<K>,
-    shard: usize,
-) -> (Option<K>, Option<K>) {
-    let (lo, hi) = router.shard_bounds(shard).expect("reshard ops validate range mode first");
+/// The owned bounds of shard `shard` under `router`.
+fn bounds_of<K: Ord + Clone>(router: &Router<K>, shard: usize) -> (Option<K>, Option<K>) {
+    let (lo, hi) =
+        router.shard_bounds(shard).expect("deriving the new router validated the shard index");
     (lo.cloned(), hi.cloned())
 }
 
@@ -993,17 +975,12 @@ impl Resharder {
     /// Returns what was done (`None`: balanced, too little traffic,
     /// nothing actionable, or lost a race with a concurrent reshard —
     /// the next window re-observes). `key_space` bounds the top shard's
-    /// range for midpoint splitting. The only error surfaced is
-    /// [`ReshardError::HashRouter`]: a hash layout can never be
-    /// drift-resharded, so polling one is a configuration mistake.
+    /// range for midpoint splitting.
     pub fn step<V: MapValue + PartialEq>(
         &mut self,
         map: &ElasticJiffy<u64, V>,
         key_space: u64,
-    ) -> Result<Option<ReshardEvent>, ReshardError> {
-        if !map.is_range_routed() {
-            return Err(ReshardError::HashRouter);
-        }
+    ) -> Option<ReshardEvent> {
         // Splits first, stats second: if a concurrent reshard commits in
         // between, the counters (which restart with the new layout) come
         // up one length short and the consistency check below skips the
@@ -1016,46 +993,31 @@ impl Resharder {
             // Layout changed under us (or first observation): counters
             // restarted with the new epoch, so start a fresh window.
             self.baseline = totals;
-            return Ok(None);
+            return None;
         }
         let deltas: Vec<u64> =
             totals.iter().zip(&self.baseline).map(|(t, b)| t.saturating_sub(*b)).collect();
         if deltas.iter().sum::<u64>() < self.min_ops {
-            return Ok(None); // keep accumulating the window
+            return None; // keep accumulating the window
         }
         if workload::load_imbalance(&deltas) <= self.threshold {
             self.baseline = totals;
-            return Ok(None);
+            return None;
         }
         // A concurrent `split_at`/`merge_at`/`stage_*` can invalidate the
         // decision between observation and execution; those races surface
-        // as benign errors here and the next window re-observes.
-        let race_is_benign = |e: ReshardError| match e {
-            ReshardError::HashRouter => Err(ReshardError::HashRouter),
-            ReshardError::BoundaryCollision
-            | ReshardError::ShardOutOfRange(_)
-            | ReshardError::MigrationInFlight => Ok(None::<ReshardEvent>),
-        };
+        // as errors here, all benign: the next window re-observes.
         let event = if deltas.len() < self.max_shards {
-            match workload::split_hot_shard(&splits, &deltas, key_space) {
-                Some((shard, at)) => match map.split_at(at) {
-                    Ok(()) => Some(ReshardEvent::Split { shard, at }),
-                    Err(e) => race_is_benign(e)?,
-                },
-                None => None,
-            }
+            workload::split_hot_shard(&splits, &deltas, key_space).and_then(|(shard, at)| {
+                map.split_at(at).ok().map(|()| ReshardEvent::Split { shard, at })
+            })
         } else if deltas.len() > 2 {
             // At the cap: merge the coldest pair to make room for the
             // next split. Never below 2 shards — a single shard has
             // imbalance 1.0 by definition, so elasticity would dead-end
             // there with no signal to ever split again.
-            match workload::merge_cold_shards(&deltas) {
-                Some(left) => match map.merge_at(left) {
-                    Ok(()) => Some(ReshardEvent::Merge { left }),
-                    Err(e) => race_is_benign(e)?,
-                },
-                None => None,
-            }
+            workload::merge_cold_shards(&deltas)
+                .and_then(|left| map.merge_at(left).ok().map(|()| ReshardEvent::Merge { left }))
         } else {
             None
         };
@@ -1063,7 +1025,7 @@ impl Resharder {
         // step re-baselines via the length check. For a no-op decision,
         // close the window so one skewed burst cannot trigger forever.
         self.baseline = map.debug_stats().iter().map(|l| l.total()).collect();
-        Ok(event)
+        event
     }
 }
 
@@ -1146,13 +1108,6 @@ mod tests {
         let map = elastic(vec![100]);
         assert_eq!(map.split_at(100).unwrap_err(), ReshardError::BoundaryCollision);
         assert_eq!(map.merge_at(1).unwrap_err(), ReshardError::ShardOutOfRange(2));
-        let hash: ElasticJiffy<u64, u64> =
-            ElasticJiffy::with_router(Router::hash(4), JiffyConfig::default());
-        hash.put(5, 5); // a hash layout still serves traffic...
-        assert_eq!(hash.get(&5), Some(5));
-        // ...but rejects range-only reshard ops.
-        assert_eq!(hash.split_at(7).unwrap_err(), ReshardError::HashRouter);
-        assert_eq!(hash.merge_at(0).unwrap_err(), ReshardError::HashRouter);
     }
 
     #[test]
@@ -1396,30 +1351,30 @@ mod tests {
         let map = elastic(vec![32_000, 64_000]); // 3 shards over [0, 96k)
         let mut resharder = Resharder::new(1.6, 4).with_min_ops(100);
         // First step baselines.
-        assert_eq!(resharder.step(&map, 96_000).unwrap(), None);
+        assert_eq!(resharder.step(&map, 96_000), None);
         // Hammer shard 0 only.
         for i in 0..2_000u64 {
             map.put(i % 32_000, i);
         }
-        let event = resharder.step(&map, 96_000).unwrap();
+        let event = resharder.step(&map, 96_000);
         assert_eq!(event, Some(ReshardEvent::Split { shard: 0, at: 16_000 }));
         assert_eq!(map.shard_count(), 4);
         assert_eq!(map.splits(), vec![16_000, 32_000, 64_000]);
         // At the cap now: continued skew merges the coldest pair instead.
-        assert_eq!(resharder.step(&map, 96_000).unwrap(), None, "re-baseline after layout change");
+        assert_eq!(resharder.step(&map, 96_000), None, "re-baseline after layout change");
         for i in 0..2_000u64 {
             map.put(i % 16_000, i);
         }
-        let event = resharder.step(&map, 96_000).unwrap();
+        let event = resharder.step(&map, 96_000);
         // Pairs (1,2) and (2,3) are both stone-cold; the first wins.
         assert_eq!(event, Some(ReshardEvent::Merge { left: 1 }));
         assert_eq!(map.shard_count(), 3);
         // Balanced traffic: no action.
-        assert_eq!(resharder.step(&map, 96_000).unwrap(), None);
+        assert_eq!(resharder.step(&map, 96_000), None);
         for i in 0..3_000u64 {
             map.put(i * 31 % 96_000, i);
         }
-        assert_eq!(resharder.step(&map, 96_000).unwrap(), None, "balanced load must not reshard");
+        assert_eq!(resharder.step(&map, 96_000), None, "balanced load must not reshard");
     }
 
     #[test]
@@ -1430,11 +1385,11 @@ mod tests {
         // imbalance is 1.0 by definition and the policy goes blind.
         let map = elastic(vec![500]);
         let mut resharder = Resharder::new(1.5, 2).with_min_ops(100);
-        assert_eq!(resharder.step(&map, 1000).unwrap(), None); // baseline
+        assert_eq!(resharder.step(&map, 1000), None); // baseline
         for i in 0..1_000u64 {
             map.put(i % 500, i); // shard 0 only
         }
-        assert_eq!(resharder.step(&map, 1000).unwrap(), None);
+        assert_eq!(resharder.step(&map, 1000), None);
         assert_eq!(map.shard_count(), 2, "must not merge down to a blind single shard");
     }
 
@@ -1442,7 +1397,7 @@ mod tests {
     fn resharder_step_tolerates_concurrent_reshards() {
         // A manual reshard racing the policy loop must never panic the
         // maintenance thread — worst case it costs one observation
-        // window. (The hash-config error still surfaces.)
+        // window.
         let map = Arc::new(elastic(vec![500]));
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -1474,19 +1429,10 @@ mod tests {
             }
             let mut resharder = Resharder::new(1.2, 8).with_min_ops(64);
             for _ in 0..300 {
-                resharder.step(&map, 1000).expect("step must not error under racing reshards");
+                resharder.step(&map, 1000);
             }
             stop.store(true, Ordering::Relaxed);
         });
-        let hash: ElasticJiffy<u64, u64> =
-            ElasticJiffy::with_router(Router::hash(2), JiffyConfig::default());
-        assert!(!hash.is_range_routed());
-        let mut resharder = Resharder::new(1.2, 4).with_min_ops(0);
-        assert_eq!(
-            resharder.step(&hash, 1000).unwrap_err(),
-            ReshardError::HashRouter,
-            "polling a hash layout is a configuration mistake, surfaced immediately"
-        );
     }
 
     #[test]

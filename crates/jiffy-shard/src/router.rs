@@ -1,141 +1,77 @@
 //! Key-to-shard routing.
 //!
-//! Two modes:
-//!
-//! * **Range**: `N - 1` strictly increasing split keys partition the key
-//!   space into `N` contiguous ranges (shard `i` owns
-//!   `[splits[i-1], splits[i])`, with open ends at both extremes). Range
-//!   mode keeps ordered scans cheap — they walk shards in key order —
-//!   and lets split points be chosen from the workload's key
-//!   distribution (`workload::shard_splits`) so skewed traffic still
-//!   spreads evenly.
-//! * **Hash**: a power-of-two shard count addressed by an FNV-1a hash of
-//!   the key. Hash mode is immune to range skew but turns every ordered
-//!   scan into an `N`-way merge — the classic trade-off this crate
-//!   exists to measure.
-
-use std::hash::{Hash, Hasher};
+//! `N - 1` strictly increasing split keys partition the key space into
+//! `N` contiguous ranges (shard `i` owns `[splits[i-1], splits[i])`, with
+//! open ends at both extremes). Shard order is key order, so an ordered
+//! scan walks the shards one after another, and split points can be
+//! chosen from the workload's key distribution (`workload::shard_splits`)
+//! so skewed traffic still spreads evenly.
 
 use crate::reshard::ReshardError;
 
-/// FNV-1a, hand-rolled so routing never allocates and stays a few
-/// instructions (std's default SipHash is keyed and heavier).
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Maps keys to shard indices. See the module docs for the two modes.
+/// Maps keys to shard indices: contiguous ranges bounded by strictly
+/// increasing split keys (see the module docs).
 #[derive(Clone, Debug)]
-pub enum Router<K> {
-    /// Contiguous ranges bounded by strictly increasing split keys.
-    Range {
-        /// `shard_count() - 1` split keys, strictly increasing; shard
-        /// `i` owns keys in `[splits[i-1], splits[i])`.
-        splits: Vec<K>,
-    },
-    /// FNV-hashed routing over a power-of-two shard count.
-    Hash {
-        /// Number of shards; must be a power of two.
-        shards: usize,
-    },
+pub struct Router<K> {
+    /// `shard_count() - 1` split keys, strictly increasing; shard `i`
+    /// owns keys in `[splits[i-1], splits[i])`.
+    splits: Vec<K>,
 }
 
-impl<K: Ord + Hash> Router<K> {
+impl<K: Ord> Router<K> {
     /// A range router from explicit split keys (must be strictly
     /// increasing). `splits.len() + 1` shards.
     pub fn range(splits: Vec<K>) -> Self {
         assert!(splits.windows(2).all(|w| w[0] < w[1]), "range splits must be strictly increasing");
-        Router::Range { splits }
-    }
-
-    /// A hash router over `shards` shards (`shards` must be a power of
-    /// two, per the issue's "power-of-two hash mode").
-    pub fn hash(shards: usize) -> Self {
-        assert!(shards.is_power_of_two(), "hash mode needs a power-of-two shard count");
-        Router::Hash { shards }
+        Router { splits }
     }
 
     /// How many shards this router addresses.
     pub fn shard_count(&self) -> usize {
-        match self {
-            Router::Range { splits } => splits.len() + 1,
-            Router::Hash { shards } => *shards,
-        }
-    }
-
-    /// Whether shard index order equals key order (true for range mode;
-    /// scans over a hash router need an N-way merge).
-    pub fn is_ordered(&self) -> bool {
-        matches!(self, Router::Range { .. })
+        self.splits.len() + 1
     }
 
     /// The shard that owns `key`.
     #[inline]
     pub fn route(&self, key: &K) -> usize {
-        match self {
-            Router::Range { splits } => splits.partition_point(|s| s <= key),
-            Router::Hash { shards } => {
-                let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
-                key.hash(&mut h);
-                let h = h.finish();
-                ((h >> 32) ^ h) as usize & (shards - 1)
-            }
+        self.splits.partition_point(|s| s <= key)
+    }
+
+    /// The key range shard `shard` owns, as `(lo, hi)` with `lo`
+    /// inclusive, `hi` exclusive and `None` meaning unbounded (`-inf` /
+    /// `+inf`); `None` overall when there is no such shard.
+    pub fn shard_bounds(&self, shard: usize) -> Option<(Option<&K>, Option<&K>)> {
+        if shard > self.splits.len() {
+            return None;
         }
+        let lo = if shard == 0 { None } else { Some(&self.splits[shard - 1]) };
+        Some((lo, self.splits.get(shard)))
+    }
+
+    /// The split keys.
+    pub fn splits(&self) -> &[K] {
+        &self.splits
     }
 }
 
-impl<K: Ord + Clone + Hash> Router<K> {
-    /// The key range shard `shard` owns, as `(lo, hi)` with `lo`
-    /// inclusive, `hi` exclusive and `None` meaning unbounded (`-inf` /
-    /// `+inf`). Range mode only: a hash router has no contiguous shard
-    /// ranges, so this returns `None` there (and for an out-of-range
-    /// shard index).
-    pub fn shard_bounds(&self, shard: usize) -> Option<(Option<&K>, Option<&K>)> {
-        match self {
-            Router::Hash { .. } => None,
-            Router::Range { splits } => {
-                if shard > splits.len() {
-                    return None;
-                }
-                let lo = if shard == 0 { None } else { Some(&splits[shard - 1]) };
-                Some((lo, splits.get(shard)))
-            }
-        }
-    }
-
+impl<K: Ord + Clone> Router<K> {
     /// Derive the router that results from splitting the shard owning
     /// `at` into two at that key: the left half keeps `[lo, at)`, the
     /// right half takes `[at, hi)`. Returns the new router plus the index
     /// of the shard that was split (whose two successors sit at that
     /// index and the next).
     ///
-    /// Errors: a hash router cannot range-split
-    /// ([`ReshardError::HashRouter`]); a split point equal to an existing
-    /// boundary would produce a shard owning no keys *and* a
-    /// non-strictly-increasing split vector, so it is rejected
-    /// ([`ReshardError::BoundaryCollision`]).
+    /// Errors: a split point equal to an existing boundary would produce
+    /// a shard owning no keys *and* a non-strictly-increasing split
+    /// vector, so it is rejected ([`ReshardError::BoundaryCollision`]).
     pub fn with_split_inserted(&self, at: K) -> Result<(Router<K>, usize), ReshardError> {
-        let Router::Range { splits } = self else { return Err(ReshardError::HashRouter) };
         let shard = self.route(&at);
-        if shard > 0 && splits[shard - 1] == at {
+        if shard > 0 && self.splits[shard - 1] == at {
             return Err(ReshardError::BoundaryCollision);
         }
-        let mut new = splits.clone();
-        new.insert(shard, at);
-        Ok((Router::Range { splits: new }, shard))
+        let mut splits = self.splits.clone();
+        splits.insert(shard, at);
+        Ok((Router { splits }, shard))
     }
 
     /// Derive the router that results from merging shards `left` and
@@ -143,26 +79,17 @@ impl<K: Ord + Clone + Hash> Router<K> {
     /// side may be empty of keys — a merge is exactly how an empty shard
     /// left behind by traffic drift is retired.
     ///
-    /// Errors: [`ReshardError::HashRouter`] in hash mode,
-    /// [`ReshardError::ShardOutOfRange`] when `left + 1` is not a shard.
+    /// Errors: [`ReshardError::ShardOutOfRange`] when `left + 1` is not a
+    /// shard.
     pub fn with_split_removed(&self, left: usize) -> Result<Router<K>, ReshardError> {
-        let Router::Range { splits } = self else { return Err(ReshardError::HashRouter) };
         // Validate before computing `left + 1`: with `left = usize::MAX`
         // the addition itself would overflow.
-        if left >= splits.len() {
+        if left >= self.splits.len() {
             return Err(ReshardError::ShardOutOfRange(left.saturating_add(1)));
         }
-        let mut new = splits.clone();
-        new.remove(left);
-        Ok(Router::Range { splits: new })
-    }
-
-    /// The split keys of a range router (empty slice in hash mode).
-    pub fn splits(&self) -> &[K] {
-        match self {
-            Router::Range { splits } => splits,
-            Router::Hash { .. } => &[],
-        }
+        let mut splits = self.splits.clone();
+        splits.remove(left);
+        Ok(Router { splits })
     }
 }
 
@@ -172,9 +99,7 @@ impl Router<u64> {
     pub fn range_uniform(shards: usize, key_space: u64) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(key_space >= shards as u64, "key space smaller than shard count");
-        Router::Range {
-            splits: (1..shards as u64).map(|i| key_space * i / shards as u64).collect(),
-        }
+        Router { splits: (1..shards as u64).map(|i| key_space * i / shards as u64).collect() }
     }
 }
 
@@ -186,7 +111,6 @@ mod tests {
     fn range_routes_in_key_order() {
         let r = Router::range(vec![10u64, 20, 30]);
         assert_eq!(r.shard_count(), 4);
-        assert!(r.is_ordered());
         assert_eq!(r.route(&0), 0);
         assert_eq!(r.route(&9), 0);
         assert_eq!(r.route(&10), 1);
@@ -217,36 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn hash_spreads_and_is_stable() {
-        let r = Router::<u64>::hash(8);
-        assert_eq!(r.shard_count(), 8);
-        assert!(!r.is_ordered());
-        let mut counts = vec![0usize; 8];
-        for k in 0..8000u64 {
-            let s = r.route(&k);
-            assert_eq!(s, r.route(&k), "routing must be deterministic");
-            counts[s] += 1;
-        }
-        // No shard starved or hogging (8000/8 = 1000 expected).
-        for c in counts {
-            assert!(c > 500 && c < 1500, "hash spread off: {c}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn hash_rejects_non_power_of_two() {
-        let _ = Router::<u64>::hash(6);
-    }
-
-    #[test]
     fn shard_bounds_cover_the_space() {
         let r = Router::range(vec![10u64, 20]);
         assert_eq!(r.shard_bounds(0), Some((None, Some(&10))));
         assert_eq!(r.shard_bounds(1), Some((Some(&10), Some(&20))));
         assert_eq!(r.shard_bounds(2), Some((Some(&20), None)));
         assert_eq!(r.shard_bounds(3), None, "out-of-range shard");
-        assert_eq!(Router::<u64>::hash(4).shard_bounds(0), None, "hash mode has no ranges");
     }
 
     #[test]
@@ -293,20 +193,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_mode_rejects_range_reshard_ops() {
-        let h = Router::<u64>::hash(4);
-        assert_eq!(h.with_split_inserted(7).unwrap_err(), ReshardError::HashRouter);
-        assert_eq!(h.with_split_removed(0).unwrap_err(), ReshardError::HashRouter);
-        assert!(h.splits().is_empty());
-    }
-
-    #[test]
     fn single_shard_routers() {
         let r = Router::range(Vec::<u64>::new());
         assert_eq!(r.shard_count(), 1);
         assert_eq!(r.route(&42), 0);
-        let h = Router::<u64>::hash(1);
-        assert_eq!(h.shard_count(), 1);
-        assert_eq!(h.route(&42), 0);
+        assert_eq!(r.shard_bounds(0), Some((None, None)));
     }
 }

@@ -24,7 +24,7 @@ pub(crate) enum UpdateKind {
 }
 
 /// Per-thread bookkeeping: the read-fold throttle (§3.3.6: readers fold
-/// statistics only every `reads_per_stats_update` reads). Lives in a
+/// statistics only every `READS_PER_STATS_UPDATE` reads). Lives in a
 /// thread-local keyed by map instance.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ThreadScaleState {
@@ -56,7 +56,7 @@ pub(crate) fn fold_update(prev: (f32, f32), elapsed_secs: f32) -> (f32, f32) {
 
 /// New EMAs after a *read* touched the node: `pReads = t + (1-t)·p`,
 /// `pUpdates = (1-t)·u` with `t` = seconds this thread spent on the last
-/// `reads_per_stats_update` reads.
+/// `READS_PER_STATS_UPDATE` reads.
 #[inline]
 pub(crate) fn fold_read(prev: (f32, f32), elapsed_secs: f32) -> (f32, f32) {
     let t = clamp_weight(elapsed_secs);
@@ -76,6 +76,10 @@ pub(crate) fn target_size(config: &JiffyConfig, stats: &RevStats) -> usize {
     config.min_revision_size + (read_share * span) as usize
 }
 
+/// A node splits when its head revision would hold at least this many
+/// times the target size.
+const SPLIT_FACTOR: f64 = 2.0;
+
 /// Decide how an update that would leave `len_after` entries in the head
 /// revision should be executed (Algorithm 1 line 18, `autoscaler.query`).
 ///
@@ -91,7 +95,7 @@ pub(crate) fn decide(
         return UpdateKind::Split;
     }
     let target = target_size(config, stats);
-    if len_after as f64 >= config.split_factor * target as f64 && len_after >= 4 {
+    if len_after as f64 >= SPLIT_FACTOR * target as f64 && len_after >= 4 {
         return UpdateKind::Split;
     }
     if can_merge && (len_after as f64) <= config.merge_factor * target as f64 {

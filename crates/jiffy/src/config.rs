@@ -3,8 +3,10 @@
 /// Configuration of a Jiffy index.
 ///
 /// The defaults correspond to the paper's settings: revision sizes bounded
-/// to `[25, 300]` entries (§3.3.6), adaptive sizing on, and reader-side
-/// autoscaler statistics refreshed every 100 reads.
+/// to `[25, 300]` entries (§3.3.6) and adaptive sizing on. Two of the
+/// policy's numbers are fixed rather than configured: a node splits at
+/// twice its target size, and readers refresh the autoscaler statistics
+/// every 100 reads (§3.3.6).
 #[derive(Clone, Debug)]
 pub struct JiffyConfig {
     /// Smallest revision size the autoscaler will target (paper: 25).
@@ -14,9 +16,6 @@ pub struct JiffyConfig {
     /// If `Some(n)`, disable the adaptive policy and target a fixed
     /// revision size of `n` entries (used by the `revsize` ablation).
     pub fixed_revision_size: Option<usize>,
-    /// A node splits when its head revision holds at least
-    /// `split_factor × target` entries. Must be > 1.
-    pub split_factor: f64,
     /// A node merges (into its predecessor) when its head revision holds
     /// at most `target × merge_factor` entries. Must be < 1.
     pub merge_factor: f64,
@@ -24,9 +23,6 @@ pub struct JiffyConfig {
     /// (the 2-byte in-revision hash index limits revisions to 65 535
     /// entries, §3.3.5; we split well before that).
     pub hard_max_revision_size: usize,
-    /// Reader threads fold their statistics into the head revision only
-    /// every this many read operations (paper: 100, §3.3.6).
-    pub reads_per_stats_update: u32,
     /// Recompute the cached minimum snapshot version after this many
     /// update operations ("Jiffy's inner garbage collector periodically
     /// scans the list", §3.3.4).
@@ -42,10 +38,8 @@ impl Default for JiffyConfig {
             min_revision_size: 25,
             max_revision_size: 300,
             fixed_revision_size: None,
-            split_factor: 2.0,
             merge_factor: 0.33,
             hard_max_revision_size: 4096,
-            reads_per_stats_update: 100,
             updates_per_min_scan: 128,
             disable_hash_index: false,
         }
@@ -65,7 +59,6 @@ impl JiffyConfig {
             self.max_revision_size >= self.min_revision_size,
             "max_revision_size must be >= min_revision_size"
         );
-        assert!(self.split_factor > 1.0, "split_factor must be > 1");
         assert!(
             self.merge_factor > 0.0 && self.merge_factor < 1.0,
             "merge_factor must be in (0, 1)"
@@ -99,12 +92,6 @@ mod tests {
     #[test]
     fn fixed_clamps_tiny_sizes() {
         assert_eq!(JiffyConfig::fixed(0).fixed_revision_size, Some(2));
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_split_factor_panics() {
-        JiffyConfig { split_factor: 0.5, ..Default::default() }.validate();
     }
 
     #[test]

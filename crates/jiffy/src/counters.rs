@@ -1,7 +1,7 @@
 //! Per-thread op-cost counters (feature `perf-counters`).
 //!
-//! The cache-conscious hot-path work (descent prefetching, the flat
-//! point-get fast path, helping backoff) is mostly invisible to
+//! The cache-conscious hot-path work (descent prefetching, helping
+//! backoff) is mostly invisible to
 //! wall-clock benchmarks on 1-core hardware: a prefetch that hides a
 //! miss the core would have stalled on anyway buys nothing when there
 //! is no memory-level parallelism to exploit. These counters measure
@@ -44,9 +44,11 @@ pub struct OpCostCounters {
     /// Bounded exponential-backoff waits taken in helping loops
     /// instead of immediately duplicating an owner's work.
     pub backoff_waits: u64,
-    /// Point gets that attempted the flat fast path.
+    /// Point reads (`get` and snapshot `get`). The name predates the
+    /// read path having one implementation; it counts every point read.
     pub fastpath_attempts: u64,
-    /// Point gets fully served by the flat fast path.
+    /// Point reads answered by the head revision their locate returned:
+    /// no older revision walked to and no restart.
     pub fastpath_hits: u64,
 }
 
@@ -76,7 +78,8 @@ impl OpCostCounters {
         self.fastpath_hits += other.fastpath_hits;
     }
 
-    /// Fast-path hit rate in `[0, 1]`, or `None` if no gets ran.
+    /// Share of point reads answered by the head, in `[0, 1]`, or `None`
+    /// if no reads ran.
     pub fn fastpath_hit_rate(&self) -> Option<f64> {
         if self.fastpath_attempts == 0 {
             None

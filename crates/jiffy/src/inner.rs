@@ -42,6 +42,10 @@ thread_local! {
 /// small machines).
 pub(crate) const LEN_STRIPES: usize = 16;
 
+/// Reader threads fold their autoscaler statistics into the head
+/// revision only every this many reads (paper: 100, §3.3.6).
+pub(crate) const READS_PER_STATS_UPDATE: u32 = 100;
+
 /// The shared internals of a [`JiffyMap`](crate::JiffyMap).
 pub(crate) struct JiffyInner<K, V, C> {
     /// The base node (`⊥`): owns range `(-inf, first-split-key)`, carries a
@@ -136,7 +140,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         })
     }
 
-    /// Read-side fold throttle: true once per `reads_per_stats_update`
+    /// Read-side fold throttle: true once per [`READS_PER_STATS_UPDATE`]
     /// reads on this thread ("reader threads update the moving averages
     /// only every 100 read operations", §3.3.6). The weight itself comes
     /// from the node's read gap.
@@ -145,7 +149,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             let mut m = m.borrow_mut();
             let st = m.entry(self.map_id).or_default();
             st.reads_since_fold += 1;
-            if st.reads_since_fold >= self.config.reads_per_stats_update {
+            if st.reads_since_fold >= READS_PER_STATS_UPDATE {
                 st.reads_since_fold = 0;
                 true
             } else {

@@ -139,7 +139,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// One attempt at reading the neighbourhood of `at`; `None` means it
     /// moved underneath the reads and the caller must start over.
     #[inline]
-    pub(crate) fn neighbourhood<'g>(
+    fn neighbourhood<'g>(
         &self,
         at: Seek<'_, K>,
         guard: &'g Guard,

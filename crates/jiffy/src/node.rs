@@ -354,7 +354,7 @@ pub(crate) enum NodeKind<K, V> {
 /// # Layout (cache-conscious, audited)
 ///
 /// `repr(C)` pins the declaration order: everything the level-0 walk
-/// and the point-get fast path touch — `key` (comparison), `head`
+/// and the point read touch — `key` (comparison), `head`
 /// (revision list), `next` (the hop), `terminated`, and the `kind`
 /// discriminant — is packed at the front (one cache line for
 /// fixed-size keys). The tower array is boxed out of line and its

@@ -11,30 +11,13 @@
 //! key (`key >= right_key` → right branch), which keeps the merged
 //! node's history reachable even before/without the merge being visible.
 //!
-//! # The flat fast path
-//!
-//! In steady state the head revision of the located node is a
-//! *finalized regular* revision — no pending version to help, no split
-//! or merge branch to resolve. [`get`](JiffyInner::get) and
-//! [`get_at`](JiffyInner::get_at) short-circuit that case: one call of
-//! the neighbourhood read the locate loop retries
-//! ([`neighbourhood`](JiffyInner::neighbourhood) — the same function,
-//! so the same coverage guarantee), then head finalized+regular →
-//! snapshot bound, and the answer comes directly from the head's entry
-//! array, skipping the loop's help dispatch and the branchy chain walk.
-//! Anything unusual (pending head, merge terminator, split/merge
-//! revision, terminated node, stale coverage) bails to the slow path —
-//! the fast path never helps and never retries. A bail on a usable
-//! neighbourhood (any head but a merge terminator, which is all the
-//! read locate would change) hands it to the revision walk, so the
-//! slow path does not descend a second time — after a batch load every
-//! head is a finalized split revision, so that is the common bail.
-//! Setting the `JIFFY_DISABLE_FAST_PATH=1` environment variable (read
-//! once, at first use) forces every lookup down the generic path; the
-//! conformance suites run both ways and expect identical results.
+//! Both walk from the one [`locate_for_read`](JiffyInner::locate_for_read)
+//! descent, and any finalized head answers, whatever its kind: after a
+//! split or merge completes, its revision holds exactly the entries of
+//! the node's range. In steady state that head is the first revision
+//! the walk inspects, so a read costs one descent and one lookup.
 
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
 
 use crossbeam_epoch::{self as epoch, Guard, Shared};
 use crossbeam_utils::prefetch_read;
@@ -43,19 +26,7 @@ use jiffy_clock::VersionClock;
 use crate::autoscale::fold_read;
 use crate::inner::{JiffyInner, MapKey, MapValue};
 use crate::locate::{ForRead, Neighbourhood, Seek};
-use crate::node::{RevKind, Revision};
-
-/// Whether the flat point-get fast path is enabled (default: yes;
-/// `JIFFY_DISABLE_FAST_PATH=1` forces the generic path, for the
-/// equivalence test matrix and for apples-to-apples counter runs).
-#[inline]
-pub(crate) fn fast_path_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("JIFFY_DISABLE_FAST_PATH") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    })
-}
+use crate::node::Revision;
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// Locate the node for a read: helps structure modifications (temp
@@ -64,38 +35,6 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     #[inline]
     pub(crate) fn locate_for_read<'g>(&self, key: &K, guard: &'g Guard) -> Neighbourhood<'g, K, V> {
         self.locate(Seek::Key(key), &ForRead, guard)
-    }
-
-    /// The flat fast path shared by `get` and `get_at`: one
-    /// [`neighbourhood`](Self::neighbourhood) read, answered from the
-    /// head revision iff it is finalized, regular and within the
-    /// snapshot bound (`max_version`). `Ok(answer)` is the lookup
-    /// result. `Err` sends the caller down the generic revision walk,
-    /// handing it the neighbourhood already read when that is exactly
-    /// what [`locate_for_read`](Self::locate_for_read) would return —
-    /// any head but a merge terminator — so a bail costs no second
-    /// descent; `Err(None)` means locate afresh (always, with the fast
-    /// path switched off).
-    #[inline]
-    fn get_fast<'g>(
-        &self,
-        key: &K,
-        max_version: Option<i64>,
-        guard: &'g Guard,
-    ) -> Result<Option<V>, Option<Neighbourhood<'g, K, V>>> {
-        if !fast_path_enabled() {
-            return Err(None);
-        }
-        perf_count!(fastpath_attempts);
-        let found = self.neighbourhood(Seek::Key(key), guard).ok_or(None)?;
-        let head = found.head();
-        let v = head.version();
-        if !matches!(head.kind, RevKind::Regular) || v < 0 || max_version.is_some_and(|s| v > s) {
-            return Err((!head.is_merge_terminator()).then_some(found));
-        }
-        perf_count!(fastpath_hits);
-        self.note_read(found.head_s(), guard);
-        Ok(head.data.get(key).cloned())
     }
 
     /// Get the most recent value for `key` (`get`, Algorithm 2 lines 1-2,
@@ -113,13 +52,11 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// version bounds the floor, so the keep point is never skippable
     /// for them.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
+        perf_count!(fastpath_attempts);
         let guard = &epoch::pin();
-        let mut first = match self.get_fast(key, None, guard) {
-            Ok(answer) => return answer,
-            Err(found) => found,
-        };
+        let mut skipped = false;
         'restart: loop {
-            let found = first.take().unwrap_or_else(|| self.locate_for_read(key, guard));
+            let found = self.locate_for_read(key, guard);
             let mut rev_s = found.head_s();
             self.note_read(rev_s, guard);
             loop {
@@ -131,9 +68,11 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 let rev = unsafe { rev_s.deref() };
                 perf_count!(revisions_walked);
                 if rev.version() >= 0 {
+                    perf_count!(fastpath_hits, u64::from(!skipped));
                     return rev.data.get(key).cloned();
                 }
                 // Pending: skip, choosing the branch that covers the key.
+                skipped = true;
                 rev_s = match rev.as_merge() {
                     Some(mi) if mi.right_key <= *key => {
                         mi.right_next.load(Ordering::Acquire, guard)
@@ -149,11 +88,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// (`get(key, snapVersion)`, Algorithm 2 lines 3-24, 35-52).
     pub(crate) fn get_at(&self, key: &K, snap: i64) -> Option<V> {
         debug_assert!(snap >= 0);
+        perf_count!(fastpath_attempts);
         let guard = &epoch::pin();
-        let found = match self.get_fast(key, Some(snap), guard) {
-            Ok(answer) => return answer,
-            Err(found) => found.unwrap_or_else(|| self.locate_for_read(key, guard)),
-        };
+        let found = self.locate_for_read(key, guard);
         self.note_read(found.head_s(), guard);
         let mut rev_s = found.head_s();
         loop {
@@ -173,6 +110,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 v = rev.version();
             }
             if v >= 0 && v <= snap {
+                perf_count!(fastpath_hits, u64::from(rev_s == found.head_s()));
                 return rev.data.get(key).cloned();
             }
             // |v| > snap: skip.
@@ -185,7 +123,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     }
 
     /// Fold read-side autoscaler statistics into the head revision once
-    /// every `reads_per_stats_update` reads (§3.3.6). The weight is the
+    /// every `READS_PER_STATS_UPDATE` reads (§3.3.6). The weight is the
     /// node's read gap, so the EMAs track per-node time shares.
     pub(crate) fn note_read<'g>(&self, head_s: Shared<'g, Revision<K, V>>, _guard: &'g Guard) {
         if self.read_fold_due() {
@@ -199,119 +137,103 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     }
 }
 
-/// White-box tests that [`JiffyInner::get_fast`] bails (returns `Err`)
-/// in every "unusual neighbourhood" it promises to leave to the generic
-/// path — pending heads, split/merge revision heads, terminated nodes,
-/// snapshot bounds — and still answers in steady state.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::RevKind;
     use crate::BatchResolver;
     use crate::{JiffyConfig, JiffyMap};
     use index_api::{Batch, BatchOp};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    /// A read that bails off the fast path walks from the neighbourhood
-    /// the fast path already read: one descent, not two. A map loaded by
-    /// one batch has a finalized split revision at every head, so every
-    /// read there bails.
+    /// A map holding `0..1000`, loaded by `put`s (mostly regular heads)
+    /// or by one batch (a finalized split revision at every head).
+    #[cfg(feature = "perf-counters")]
+    fn loaded(by_batch: bool) -> JiffyMap<u64, u64> {
+        let map = JiffyMap::new();
+        if by_batch {
+            map.batch(Batch::new((0..1000).map(|k| BatchOp::Put(k, k)).collect()));
+        } else {
+            for k in 0..1000 {
+                map.put(k, k);
+            }
+        }
+        map
+    }
+
+    /// Every point read, newest or snapshot, hit or miss, costs exactly
+    /// one descent, whatever kind of revision heads the node.
     #[cfg(feature = "perf-counters")]
     #[test]
-    fn a_bailing_read_descends_once() {
-        let map: JiffyMap<u64, u64> = JiffyMap::new();
-        map.batch(Batch::new((0..1000).map(|k| BatchOp::Put(k, k)).collect()));
-        let snap = map.snapshot();
-        let descents = || crate::counters::snapshot().descents;
-        for k in [0u64, 499, 500, 999, 5000] {
-            assert!(matches!(map.inner.get_fast(&k, None, &epoch::pin()), Err(Some(_))));
-            let before = descents();
-            assert_eq!(map.get(&k), (k < 1000).then_some(k));
-            assert_eq!(descents() - before, 1, "get({k})");
-            let before = descents();
-            assert_eq!(snap.get(&k), (k < 1000).then_some(k));
-            assert_eq!(descents() - before, 1, "snapshot().get({k})");
+    fn a_point_read_descends_once() {
+        for by_batch in [false, true] {
+            let map = loaded(by_batch);
+            let snap = map.snapshot();
+            let descents = || crate::counters::snapshot().descents;
+            for k in [0u64, 499, 500, 999, 5000] {
+                let before = descents();
+                assert_eq!(map.get(&k), (k < 1000).then_some(k));
+                assert_eq!(descents() - before, 1, "get({k}), by_batch={by_batch}");
+                let before = descents();
+                assert_eq!(snap.get(&k), (k < 1000).then_some(k));
+                assert_eq!(descents() - before, 1, "snapshot().get({k}), by_batch={by_batch}");
+            }
         }
     }
 
+    /// A batch load leaves a finalized split revision at every head, and
+    /// that head answers: every quiescent point read is a hit.
+    #[cfg(feature = "perf-counters")]
     #[test]
-    fn fast_path_answers_in_steady_state() {
-        let map: JiffyMap<u64, u64> = JiffyMap::new();
-        map.put(10, 1);
-        let guard = &epoch::pin();
-        assert_eq!(map.inner.get_fast(&10, None, guard).ok(), Some(Some(1)));
-        assert_eq!(map.inner.get_fast(&11, None, guard).ok(), Some(None), "covered miss is a hit");
+    fn head_answers_reads_on_a_batch_loaded_map() {
+        let map = loaded(true);
+        let snap = map.snapshot();
+        let before = crate::counters::snapshot();
+        for k in 0..1000u64 {
+            assert_eq!(map.get(&k), Some(k));
+            assert_eq!(snap.get(&k), Some(k));
+        }
+        let after = crate::counters::snapshot();
+        let attempts = after.fastpath_attempts - before.fastpath_attempts;
+        assert_eq!(attempts, 2000);
+        assert_eq!(after.fastpath_hits - before.fastpath_hits, attempts);
     }
 
+    /// `get` answers from whatever heads the node: a pending two-phase
+    /// sub-batch is skipped until its commit, and the split and merge
+    /// revisions a tiny-revision churn leaves at the heads answer like
+    /// regular ones.
     #[test]
-    fn fast_path_bails_on_pending_head() {
+    fn get_answers_under_every_head_kind() {
         let map: JiffyMap<u64, u64> = JiffyMap::new();
         map.put(10, 1);
+        let before = map.snapshot();
         // Stage + install (but do not commit) a two-phase sub-batch: the
-        // node's head is now a pending revision. The fast path must bail
-        // without helping; the generic path skips the pending head and
-        // answers from the prior finalized revision.
+        // node's head is now a pending revision, which reads skip.
         let ticket = map.pending_version();
         let resolver: BatchResolver = Arc::new(|| {});
         let prep = map.prepare_batch(Batch::new(vec![BatchOp::Put(10, 2)]), &ticket, resolver);
         map.install_prepared(&prep);
-        {
-            let guard = &epoch::pin();
-            assert_eq!(map.inner.get_fast(&10, None, guard).ok(), None, "pending head must bail");
-        }
-        assert_eq!(map.get(&10), Some(1), "generic path skips the pending head");
-        // Committed: the head finalizes and the fast path engages again.
+        assert_eq!(map.get(&10), Some(1), "get skips the pending head");
+        assert_eq!(before.get(&10), Some(1), "snapshot().get skips the pending head");
         map.commit_pending(&ticket);
-        let guard = &epoch::pin();
-        assert_eq!(map.inner.get_fast(&10, None, guard).ok(), Some(Some(2)));
-    }
+        assert_eq!(map.get(&10), Some(2));
+        assert_eq!(map.snapshot().get(&10), Some(2));
+        assert_eq!(before.get(&10), Some(1), "the older snapshot keeps its value");
+        drop(before);
 
-    #[test]
-    fn fast_path_bails_on_snapshot_bound() {
-        let map: JiffyMap<u64, u64> = JiffyMap::new();
-        map.put(10, 1);
-        let guard = &epoch::pin();
-        // The head's version is some positive clock draw; a snapshot
-        // bound below it must bail to the generic revision walk.
-        assert_eq!(map.inner.get_fast(&10, Some(0), guard).ok(), None);
-    }
-
-    #[test]
-    fn fast_path_bails_on_terminated_node() {
-        let map: JiffyMap<u64, u64> = JiffyMap::new();
-        map.put(5, 1);
-        let guard = &epoch::pin();
-        let node_s = map.inner.find_node_for_key(&5, guard);
-        // Forcibly mark the node terminated (as a concurrent merge
-        // would, transiently). Only the fast path is exercised after
-        // this — the map's invariants are deliberately broken.
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        unsafe { node_s.deref() }.terminated.store(true, Ordering::Release);
-        assert_eq!(map.inner.get_fast(&5, None, guard).ok(), None, "terminated node must bail");
-    }
-
-    /// Split and merge revisions sit at node heads right after the
-    /// structure change that installed them (finalized, but not
-    /// `Regular`): churn a tiny-revision map single-threaded, probing
-    /// the heads after every op — each non-`Regular` head must bail the
-    /// fast path while the public `get` still answers from the model.
-    #[test]
-    fn fast_path_bails_on_split_and_merge_revision_heads() {
         let map: JiffyMap<u64, u64> = JiffyMap::with_config(JiffyConfig {
             min_revision_size: 2,
             max_revision_size: 8,
             fixed_revision_size: Some(4),
             ..Default::default()
         });
-        let mut model = std::collections::BTreeMap::new();
-        let mut split_seen = false;
-        let mut merge_seen = false;
-        // Probe every non-Regular head currently in the list; returns
-        // the kinds seen. Single-threaded, so heads are stable here.
-        let probe_heads = |map: &JiffyMap<u64, u64>,
-                           model: &std::collections::BTreeMap<u64, u64>,
-                           split_seen: &mut bool,
-                           merge_seen: &mut bool| {
+        let mut model = BTreeMap::new();
+        let (mut split_seen, mut merge_seen) = (false, false);
+        // Probe the key of every node headed by a split or merge
+        // revision. Single-threaded, so heads are stable here.
+        let mut probe_heads = |map: &JiffyMap<u64, u64>, model: &BTreeMap<u64, u64>| {
             let guard = &epoch::pin();
             let mut node_s = map.inner.base_node(guard);
             while !node_s.is_null() {
@@ -319,55 +241,33 @@ mod tests {
                 // EBR defers reclamation of epoch-reachable nodes until unpin.
                 let node = unsafe { node_s.deref() };
                 let next = node.next.load(Ordering::Acquire, guard);
-                if !node.is_terminated() && !node.is_temp_split() {
-                    let head_s = node.head.load(Ordering::Acquire, guard);
-                    // SAFETY: if non-null, the pointee is kept alive by the
-                    // enclosing pin guard (EBR).
-                    if let Some(head) = unsafe { head_s.as_ref() } {
-                        let kind = match head.kind {
-                            RevKind::Regular => None,
-                            RevKind::LeftSplit(_) => Some("LeftSplit"),
-                            RevKind::RightSplit(_) => Some("RightSplit"),
-                            RevKind::Merge(_) => Some("Merge"),
-                            RevKind::MergeTerminator(_) => Some("MergeTerminator"),
-                        };
-                        if let Some(kind) = kind {
-                            match kind {
-                                "Merge" => *merge_seen = true,
-                                "LeftSplit" | "RightSplit" => *split_seen = true,
-                                _ => {}
-                            }
-                            let probe = match &node.key {
-                                crate::node::NodeKey::Key(k) => *k,
-                                crate::node::NodeKey::NegInf => 0,
-                            };
-                            assert_eq!(
-                                map.inner.get_fast(&probe, None, guard).ok(),
-                                None,
-                                "head kind {kind} must bail"
-                            );
-                            assert_eq!(
-                                map.get(&probe),
-                                model.get(&probe).copied(),
-                                "generic path answers under a {kind} head"
-                            );
-                        }
-                    }
-                }
+                let head_s = node.head.load(Ordering::Acquire, guard);
                 node_s = next;
+                if node.is_terminated() || node.is_temp_split() {
+                    continue;
+                }
+                // SAFETY: if non-null, the pointee is kept alive by the
+                // enclosing pin guard (EBR).
+                let Some(head) = (unsafe { head_s.as_ref() }) else { continue };
+                let kind = match head.kind {
+                    RevKind::LeftSplit(_) | RevKind::RightSplit(_) => &mut split_seen,
+                    RevKind::Merge(_) => &mut merge_seen,
+                    RevKind::Regular | RevKind::MergeTerminator(_) => continue,
+                };
+                *kind = true;
+                let probe = node.key.as_key().copied().unwrap_or(0);
+                assert_eq!(map.get(&probe), model.get(&probe).copied(), "get({probe})");
             }
         };
         for k in 0..400u64 {
             map.put(k, k + 1);
             model.insert(k, k + 1);
-            probe_heads(&map, &model, &mut split_seen, &mut merge_seen);
+            probe_heads(&map, &model);
         }
-        for k in 0..400u64 {
-            if k % 5 != 0 {
-                map.remove(&k);
-                model.remove(&k);
-                probe_heads(&map, &model, &mut split_seen, &mut merge_seen);
-            }
+        for k in (0..400u64).filter(|k| k % 5 != 0) {
+            map.remove(&k);
+            model.remove(&k);
+            probe_heads(&map, &model);
         }
         assert!(split_seen, "the put churn must surface a split revision at a head");
         assert!(merge_seen, "the remove churn must surface a merge revision at a head");

@@ -1,13 +1,9 @@
-//! Shared harness for the fast-path equivalence matrix: the same
-//! conformance and Wing–Gong history checks run in two integration test
-//! binaries — `linearizability.rs` with the flat point-get fast path on
-//! (the default) and `fastpath_off.rs` with `JIFFY_DISABLE_FAST_PATH=1`
-//! forcing every lookup down the generic locate loop. Observable
-//! behavior must be identical either way; only the op-cost counters may
-//! differ.
+//! The conformance and Wing–Gong history checks behind
+//! `linearizability.rs`: a sequential model comparison, concurrent
+//! histories over tiny revisions, and snapshot reads against a model.
 //!
 //! Not a test binary itself: it lives under `tests/common/` and is
-//! pulled in with `#[path]` by the two matrix binaries.
+//! pulled in with `#[path]` by `linearizability.rs`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,15 +12,6 @@ use std::thread;
 
 use jiffy::{Batch, BatchOp, JiffyConfig, JiffyMap};
 use linearize::{check_bounded, Event, Op, Outcome};
-
-/// Force every lookup down the generic path for the rest of the
-/// process. Must run before the binary's first map operation: the flag
-/// is read once, so each test in an "off" binary calls this first.
-/// (Unused in the fast-path-on binary, by design.)
-#[allow(dead_code)]
-pub fn disable_fast_path() {
-    std::env::set_var("JIFFY_DISABLE_FAST_PATH", "1");
-}
 
 /// Tiny revisions so the histories cross splits and merges constantly.
 pub fn tiny_config() -> JiffyConfig {

@@ -1,7 +1,4 @@
-//! Wing–Gong linearizability + conformance suite with the flat
-//! point-get fast path ON (the default). `fastpath_off.rs` runs the
-//! identical checks with `JIFFY_DISABLE_FAST_PATH=1`; results must not
-//! differ between the two binaries.
+//! Wing–Gong linearizability + conformance suite for `JiffyMap`.
 
 #[path = "common/harness.rs"]
 mod harness;
@@ -78,22 +75,45 @@ fn help_iterations_stay_bounded_under_contended_batches() {
     );
 }
 
-/// With `perf-counters` built in, prove the fast path actually engaged
-/// in this binary (the "off" binary asserts the opposite) — this is
-/// what makes the matrix meaningful rather than two identical runs.
+/// With `perf-counters` built in, every point read counts one
+/// `fastpath_attempts`, and a read answered by the head revision its
+/// locate returned counts one `fastpath_hits` too: every read in steady
+/// state, none that must skip a pending head.
 #[cfg(feature = "perf-counters")]
 #[test]
 fn fast_path_attempts_are_counted() {
+    use jiffy::{Batch, BatchOp, BatchResolver};
+    use std::sync::Arc;
+
     let map: jiffy::JiffyMap<u64, u64> = jiffy::JiffyMap::new();
     map.put(1, 1);
-    let before = jiffy::counters::snapshot();
-    for _ in 0..32 {
+    let snap = map.snapshot();
+    let delta = |f: &dyn Fn()| {
+        let before = jiffy::counters::snapshot();
+        f();
+        let after = jiffy::counters::snapshot();
+        (
+            after.fastpath_attempts - before.fastpath_attempts,
+            after.fastpath_hits - before.fastpath_hits,
+        )
+    };
+    let steady = delta(&|| {
+        for _ in 0..32 {
+            assert_eq!(map.get(&1), Some(1));
+            assert_eq!(snap.get(&1), Some(1));
+        }
+    });
+    assert_eq!(steady, (64, 64), "(attempts, hits) of steady-state reads");
+    // A staged, installed, uncommitted two-phase sub-batch heads the node.
+    let ticket = map.pending_version();
+    let resolver: BatchResolver = Arc::new(|| {});
+    let prep = map.prepare_batch(Batch::new(vec![BatchOp::Put(1, 2)]), &ticket, resolver);
+    map.install_prepared(&prep);
+    let pending = delta(&|| {
         assert_eq!(map.get(&1), Some(1));
-    }
-    let after = jiffy::counters::snapshot();
-    assert!(
-        after.fastpath_attempts >= before.fastpath_attempts + 32,
-        "fast path must be attempted on point gets: {before:?} -> {after:?}"
-    );
-    assert!(after.fastpath_hits > before.fastpath_hits, "steady-state gets must hit");
+        assert_eq!(snap.get(&1), Some(1));
+    });
+    assert_eq!(pending, (2, 0), "(attempts, hits) of reads that skip a pending head");
+    map.commit_pending(&ticket);
+    assert_eq!(delta(&|| assert_eq!(map.get(&1), Some(2))), (1, 1));
 }

@@ -39,9 +39,9 @@ pub struct OpCosts {
     pub help_iterations: u64,
     /// Bounded backoff waits taken instead of duplicating helping work.
     pub backoff_waits: u64,
-    /// Point gets that attempted the flat fast path.
+    /// Point reads (every `get`, newest or snapshot).
     pub fastpath_attempts: u64,
-    /// Point gets fully served by the flat fast path.
+    /// Point reads answered by the head revision their locate returned.
     pub fastpath_hits: u64,
 }
 
@@ -51,7 +51,8 @@ impl OpCosts {
         (self.descents > 0).then(|| self.nodes_visited as f64 / self.descents as f64)
     }
 
-    /// Fast-path hit rate in `[0, 1]` (`None` if no gets ran).
+    /// Share of point reads answered by the head, in `[0, 1]` (`None` if
+    /// no reads ran).
     pub fn fastpath_hit_rate(&self) -> Option<f64> {
         (self.fastpath_attempts > 0)
             .then(|| self.fastpath_hits as f64 / self.fastpath_attempts as f64)

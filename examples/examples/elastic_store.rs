@@ -70,7 +70,7 @@ fn main() {
         // traffic and act on its own.
         let mut resharder = Resharder::new(1.5, 6).with_min_ops(2_000);
         for _ in 0..50 {
-            if let Some(event) = resharder.step(&map, KEY_SPACE).expect("resharder step") {
+            if let Some(event) = resharder.step(&map, KEY_SPACE) {
                 println!(
                     "resharder acted: {event:?} -> {} shards {:?}",
                     map.shard_count(),

@@ -17,8 +17,8 @@ pub fn test_shard_splits() -> Vec<u64> {
 }
 
 /// Every index in the evaluation, as trait objects over (u64, u64) —
-/// including the sharded map that ships (`ElasticJiffy`, in both router
-/// modes; both report the name `elastic-jiffy`).
+/// including the sharded map that ships (`ElasticJiffy`, reported as
+/// `elastic-jiffy`).
 pub fn all_indices() -> Vec<Arc<dyn OrderedIndex<u64, u64> + Send + Sync>> {
     vec![
         Arc::new(jiffy::JiffyMap::<u64, u64>::new()),
@@ -31,10 +31,6 @@ pub fn all_indices() -> Vec<Arc<dyn OrderedIndex<u64, u64> + Send + Sync>> {
         Arc::new(SnapTree::<u64, u64, SingleShard>::new()),
         Arc::new(ElasticJiffy::<u64, u64>::with_router(
             Router::range(test_shard_splits()),
-            jiffy::JiffyConfig::default(),
-        )),
-        Arc::new(ElasticJiffy::<u64, u64>::with_router(
-            Router::hash(4),
             jiffy::JiffyConfig::default(),
         )),
     ]

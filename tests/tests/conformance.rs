@@ -372,18 +372,18 @@ fn capability_flags_match_observed_behavior() {
 fn index_capability_flags_match_paper() {
     // §4.1: all tested indices have linearizable scans except CSLM;
     // batch updates only in Jiffy, CA-AVL, CA-SL. The sharded map keeps
-    // both flags in both router modes.
+    // both flags.
     let names_consistent: Vec<&str> = consistent_scan_indices().iter().map(|i| i.name()).collect();
     assert!(!names_consistent.contains(&"cslm"));
     assert!(names_consistent.contains(&"jiffy"));
-    assert_eq!(names_consistent.iter().filter(|n| **n == "elastic-jiffy").count(), 2);
+    assert_eq!(names_consistent.iter().filter(|n| **n == "elastic-jiffy").count(), 1);
     let names_batch: Vec<&str> = atomic_batch_indices().iter().map(|i| i.name()).collect();
     // The paper's batch-capable set; our CA-imm shares the CA trees' 2PL
     // batch machinery, so it also qualifies (a strict superset is fine).
     assert!(names_batch.contains(&"jiffy"));
     assert!(names_batch.contains(&"ca-avl"));
     assert!(names_batch.contains(&"ca-sl"));
-    assert_eq!(names_batch.iter().filter(|n| **n == "elastic-jiffy").count(), 2);
+    assert_eq!(names_batch.iter().filter(|n| **n == "elastic-jiffy").count(), 1);
     for unsupported in ["cslm", "lfca", "k-ary", "snaptree"] {
         assert!(!names_batch.contains(&unsupported), "{unsupported} must not claim atomic batches");
     }
