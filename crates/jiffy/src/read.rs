@@ -200,29 +200,48 @@ mod tests {
         assert_eq!(after.fastpath_hits - before.fastpath_hits, attempts);
     }
 
-    /// `get` answers from whatever heads the node: a pending two-phase
-    /// sub-batch is skipped until its commit, and the split and merge
-    /// revisions a tiny-revision churn leaves at the heads answer like
-    /// regular ones.
+    /// A two-phase sub-batch installed but not committed heads its node
+    /// with a pending revision: `get` and snapshot `get` skip it and read
+    /// the prior finalized revision, and with `perf-counters` built in
+    /// that read is no head hit (the name is the counters' `fastpath_*`).
+    /// Once committed, the head answers again.
     #[test]
-    fn get_answers_under_every_head_kind() {
+    fn fast_path_bails_on_pending_head() {
         let map: JiffyMap<u64, u64> = JiffyMap::new();
         map.put(10, 1);
         let before = map.snapshot();
-        // Stage + install (but do not commit) a two-phase sub-batch: the
-        // node's head is now a pending revision, which reads skip.
         let ticket = map.pending_version();
         let resolver: BatchResolver = Arc::new(|| {});
         let prep = map.prepare_batch(Batch::new(vec![BatchOp::Put(10, 2)]), &ticket, resolver);
         map.install_prepared(&prep);
+        #[cfg(feature = "perf-counters")]
+        let hits = crate::counters::snapshot().fastpath_hits;
         assert_eq!(map.get(&10), Some(1), "get skips the pending head");
+        #[cfg(feature = "perf-counters")]
+        assert_eq!(crate::counters::snapshot().fastpath_hits, hits, "a skipped head is no hit");
         assert_eq!(before.get(&10), Some(1), "snapshot().get skips the pending head");
         map.commit_pending(&ticket);
+        #[cfg(feature = "perf-counters")]
+        let hits = crate::counters::snapshot().fastpath_hits;
         assert_eq!(map.get(&10), Some(2));
+        #[cfg(feature = "perf-counters")]
+        assert_eq!(
+            crate::counters::snapshot().fastpath_hits,
+            hits + 1,
+            "the committed head answers"
+        );
         assert_eq!(map.snapshot().get(&10), Some(2));
         assert_eq!(before.get(&10), Some(1), "the older snapshot keeps its value");
-        drop(before);
+    }
 
+    /// Split and merge revisions sit at node heads right after the
+    /// structure change that installed them: churn a tiny-revision map
+    /// single-threaded, probing every such head after each op. The head
+    /// path once bailed on them; now a finalized split or merge head
+    /// answers like a regular one, so `get` matches the model and, with
+    /// `perf-counters` built in, each probe is a head hit.
+    #[test]
+    fn fast_path_bails_on_split_and_merge_revision_heads() {
         let map: JiffyMap<u64, u64> = JiffyMap::with_config(JiffyConfig {
             min_revision_size: 2,
             max_revision_size: 8,
@@ -231,8 +250,7 @@ mod tests {
         });
         let mut model = BTreeMap::new();
         let (mut split_seen, mut merge_seen) = (false, false);
-        // Probe the key of every node headed by a split or merge
-        // revision. Single-threaded, so heads are stable here.
+        // Single-threaded, so heads are stable here.
         let mut probe_heads = |map: &JiffyMap<u64, u64>, model: &BTreeMap<u64, u64>| {
             let guard = &epoch::pin();
             let mut node_s = map.inner.base_node(guard);
@@ -256,7 +274,11 @@ mod tests {
                 };
                 *kind = true;
                 let probe = node.key.as_key().copied().unwrap_or(0);
+                #[cfg(feature = "perf-counters")]
+                let hits = crate::counters::snapshot().fastpath_hits;
                 assert_eq!(map.get(&probe), model.get(&probe).copied(), "get({probe})");
+                #[cfg(feature = "perf-counters")]
+                assert_eq!(crate::counters::snapshot().fastpath_hits, hits + 1, "get({probe})");
             }
         };
         for k in 0..400u64 {

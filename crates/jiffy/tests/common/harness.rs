@@ -1,9 +1,10 @@
 //! The conformance and Wing–Gong history checks behind
-//! `linearizability.rs`: a sequential model comparison, concurrent
-//! histories over tiny revisions, and snapshot reads against a model.
+//! `linearizability.rs` and `fastpath_off.rs`: a sequential model
+//! comparison, concurrent histories over tiny revisions, and snapshot
+//! reads against a model. The two binaries run them over disjoint seeds.
 //!
 //! Not a test binary itself: it lives under `tests/common/` and is
-//! pulled in with `#[path]` by `linearizability.rs`.
+//! pulled in with `#[path]` by the two binaries.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,12 +150,12 @@ fn record_history(seed: u64, threads: usize, ops_per_thread: usize) -> Vec<Event
     events
 }
 
-/// Run `rounds` recorded histories through the checker; every one must
-/// linearize (Inconclusive is a failure too — the histories are sized
-/// so the bounded search always finishes).
-pub fn concurrent_histories_linearize(rounds: u64) {
-    for round in 0..rounds {
-        let history = record_history(round + 1, 3, 7);
+/// Run the histories recorded from each of `seeds` through the checker;
+/// every one must linearize (Inconclusive is a failure too — the
+/// histories are sized so the bounded search always finishes).
+pub fn concurrent_histories_linearize(seeds: std::ops::Range<u64>) {
+    for round in seeds {
+        let history = record_history(round, 3, 7);
         match check_bounded(&history, 2_000_000) {
             Outcome::Linearizable(_) => {}
             Outcome::NotLinearizable => {

@@ -10,7 +10,7 @@ fn sequential_model_equivalence() {
 
 #[test]
 fn concurrent_histories_linearize() {
-    harness::concurrent_histories_linearize(12);
+    harness::concurrent_histories_linearize(1..13);
 }
 
 #[test]
