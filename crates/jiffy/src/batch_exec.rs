@@ -50,7 +50,6 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         }
         let desc = Arc::new(BatchDescriptor::new(&self.clock, ops_ascending));
         self.help_batch(&desc);
-        self.bump_update_tick();
     }
 
     /// Help `desc` to *full* completion: local installation plus — for a
@@ -84,6 +83,10 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     pub(crate) fn help_batch(&self, desc: &Arc<BatchDescriptor<K, V>>) {
         let with_index = !self.config.disable_hash_index;
         let mut tripwire = Tripwire::new("help_batch");
+        // One floor refresh per call: the first group whose cut needs a
+        // newer floor pays for it, and the rest cut against that floor
+        // (a registry walk per group is what a live snapshot would cost).
+        let mut may_refresh = true;
         loop {
             perf_count!(help_iterations);
             tripwire.tick(|| {
@@ -186,7 +189,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             }
             self.add_len(len_delta);
             let _ = desc.advance(i, j);
-            self.perform_gc(loc.node_s(), guard);
+            self.perform_gc(loc.node_s(), &mut may_refresh, guard);
         }
     }
 }

@@ -6,7 +6,10 @@
 /// to `[25, 300]` entries (§3.3.6) and adaptive sizing on. Two of the
 /// policy's numbers are fixed rather than configured: a node splits at
 /// twice its target size, and readers refresh the autoscaler statistics
-/// every 100 reads (§3.3.6).
+/// every 100 reads (§3.3.6). The revision GC's floor has no knob either:
+/// the update whose cut needs a newer floor rescans the snapshot
+/// registry itself (§3.3.4, see `gc.rs`), so there is no scan period to
+/// tune.
 #[derive(Clone, Debug)]
 pub struct JiffyConfig {
     /// Smallest revision size the autoscaler will target (paper: 25).
@@ -23,10 +26,6 @@ pub struct JiffyConfig {
     /// (the 2-byte in-revision hash index limits revisions to 65 535
     /// entries, §3.3.5; we split well before that).
     pub hard_max_revision_size: usize,
-    /// Recompute the cached minimum snapshot version after this many
-    /// update operations ("Jiffy's inner garbage collector periodically
-    /// scans the list", §3.3.4).
-    pub updates_per_min_scan: u32,
     /// Disable the per-revision hash index and always binary-search
     /// (used by the `hash` ablation, §3.3.5).
     pub disable_hash_index: bool,
@@ -40,7 +39,6 @@ impl Default for JiffyConfig {
             fixed_revision_size: None,
             merge_factor: 0.33,
             hard_max_revision_size: 4096,
-            updates_per_min_scan: 128,
             disable_hash_index: false,
         }
     }

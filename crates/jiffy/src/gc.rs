@@ -6,6 +6,22 @@
 //! revision any current or future reader can select — everything behind
 //! it is unreachable garbage.
 //!
+//! The floor is refreshed on demand, by the cut that needs it: the first
+//! finalized revision the walk meets above the cached floor pays for one
+//! registry scan (`JiffyInner::refresh_gc_floor`), published with
+//! `fetch_max` before anything is cut. After a put with no live snapshot
+//! that makes the new head the keep point, so a node holds one revision.
+//! Pending revisions (a batch group installed but not yet committed)
+//! never trigger the scan: they cannot be the keep point whatever the
+//! floor says. A batch group's cut keeps its pending head and the
+//! finalized predecessor, and refreshes only if that predecessor is newer
+//! than the floor — at most once per batch execution. Under a live
+//! snapshot a scan per group would put a registry walk, and a write to
+//! the floor whenever the oldest snapshot moved, on every group; those
+//! are lines every `snapshot()` touches. The later groups cut against the
+//! floor the first one published, which is past every predecessor written
+//! before the batch began unless a snapshot holds it back.
+//!
 //! The cut itself is a CAS of the keep point's `next` edge to null; the
 //! winner walks the severed chain and defers destruction of each revision
 //! (following owning edges only — see `node.rs` for the ownership
@@ -24,15 +40,21 @@ use crate::node::Node;
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// Truncate obsolete revisions at `node_s` (Algorithm 1 line 34).
-    pub(crate) fn perform_gc<'g>(&self, node_s: Shared<'g, Node<K, V>>, guard: &'g Guard) {
+    /// `may_refresh` is the caller's one floor refresh: a put or remove
+    /// passes a fresh `true`, a batch execution one flag for all its
+    /// groups, which the first refresh clears.
+    pub(crate) fn perform_gc<'g>(
+        &self,
+        node_s: Shared<'g, Node<K, V>>,
+        may_refresh: &mut bool,
+        guard: &'g Guard,
+    ) {
         let mut min = self.gc_floor();
         // SAFETY: non-null and reached under the enclosing pin guard;
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let node = unsafe { node_s.deref() };
         let mut rev_s = node.head.load(Ordering::Acquire, guard);
         // Find the keep point: first finalized revision with version <= min.
-        let mut depth = 0usize;
-        let mut refreshed = false;
         let keep = loop {
             if rev_s.is_null() {
                 return; // nothing old enough to cut
@@ -41,22 +63,12 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             // EBR defers reclamation of epoch-reachable nodes until unpin.
             let rev = unsafe { rev_s.deref() };
             let v = rev.version();
-            if v >= 0 && v <= min {
-                break rev;
-            }
-            // A long walk means the cached floor lags far behind this
-            // node's update rate (hot-node append patterns): pay for one
-            // registry scan to pull the floor forward and re-evaluate.
-            depth += 1;
-            if depth > 8 && !refreshed {
-                refreshed = true;
-                let fresh = self.snapshots.min_version(&self.clock);
-                let prev = self.cached_min.fetch_max(fresh, Ordering::AcqRel);
-                if fresh > prev {
-                    jiffy_obs::trace_event!(GcFloorAdvance, fresh, prev as u64, fresh as u64);
+            if v >= 0 {
+                if v > min && *may_refresh {
+                    *may_refresh = false;
+                    min = self.refresh_gc_floor();
                 }
-                min = self.gc_floor();
-                if v >= 0 && v <= min {
+                if v <= min {
                     break rev;
                 }
             }

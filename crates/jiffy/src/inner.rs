@@ -30,9 +30,6 @@ thread_local! {
         RefCell::new(HashMap::new());
     /// Per-thread RNG state for tower heights.
     pub(crate) static RNG_STATE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Per-thread update tick (drives the periodic snapshot-min refresh
-    /// without a shared counter on the hot path).
-    pub(crate) static TICKS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     /// Per-thread stripe index for the entry counter.
     pub(crate) static STRIPE: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
 }
@@ -55,10 +52,11 @@ pub(crate) struct JiffyInner<K, V, C> {
     pub(crate) clock: C,
     pub(crate) config: JiffyConfig,
     pub(crate) snapshots: SnapRegistry,
-    /// Cached lower bound of the minimum registered snapshot version,
-    /// refreshed every `config.updates_per_min_scan` updates (per
-    /// thread). Monotone non-decreasing; staleness only retains extra
-    /// garbage (§3.3.4).
+    /// Cached lower bound of the minimum registered snapshot version:
+    /// the GC floor. Refreshed on demand by a cut whose walk meets a
+    /// finalized revision above it (see `gc.rs`), never on a schedule.
+    /// Monotone non-decreasing; staleness only retains extra garbage
+    /// (§3.3.4).
     pub(crate) cached_min: CachePadded<AtomicI64>,
     /// Approximate entry count, striped to avoid a shared hot line (see
     /// [`JiffyMap::len_approx`](crate::JiffyMap::len_approx)).
@@ -158,19 +156,18 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         })
     }
 
-    /// Periodic refresh of the cached minimum snapshot version; the cache
-    /// only moves forward (a stale value is a safe lower bound). Counted
-    /// per thread so the hot path touches no shared line.
-    pub(crate) fn bump_update_tick(&self) {
-        let due = TICKS.with(|t| {
-            let v = t.get().wrapping_add(1);
-            t.set(v);
-            v % self.config.updates_per_min_scan == 0
-        });
-        if due {
-            let min = self.snapshots.min_version(&self.clock);
-            self.cached_min.fetch_max(min, Ordering::AcqRel);
+    /// Rescan the registry and publish the result as the GC floor; the
+    /// floor only moves forward (a stale value is a safe lower bound).
+    /// Returns the floor now in force. The write is skipped when the
+    /// floor already stands at or above the scan, so a refresh that
+    /// finds nothing new leaves the line `snapshot()` reads shared.
+    pub(crate) fn refresh_gc_floor(&self) -> i64 {
+        let fresh = self.snapshots.min_version(&self.clock);
+        let cur = self.gc_floor();
+        if fresh <= cur {
+            return cur;
         }
+        self.cached_min.fetch_max(fresh, Ordering::AcqRel).max(fresh)
     }
 
     #[inline]

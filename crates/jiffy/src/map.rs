@@ -204,8 +204,13 @@ pub struct MapStats {
     pub entries: usize,
     /// `entries / nodes` — the quantity the §3.3.6 policy steers.
     pub mean_revision_size: f64,
-    /// Deepest revision list observed (paper §3.3.4: "revision lists
-    /// contain at most 3-4 revisions at a time, and usually only 2").
+    /// Deepest revision list observed. With no live snapshot that is 1
+    /// after a put or remove and 2 after a batch group (whose head is
+    /// still pending when its cut runs); lists grow deeper only under a
+    /// live snapshot, which pins the revision it reads and every newer
+    /// one. The paper says "at most 3-4 revisions at a time, and usually
+    /// only 2" (§3.3.4); this index keeps fewer because each cut
+    /// refreshes the GC floor it needs (see `gc.rs`).
     pub max_revision_depth: usize,
 }
 

@@ -109,8 +109,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let published = unsafe { published_s.deref() };
         finalize_cell(&self.clock, published.vref.cell());
-        self.perform_gc(node_s, guard);
-        self.bump_update_tick();
+        self.perform_gc(node_s, &mut true, guard);
         old
     }
 
@@ -164,8 +163,7 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let rev = unsafe { finalize_rev_s.deref() };
         finalize_cell(&self.clock, rev.vref.cell());
-        self.perform_gc(gc_node_s, guard);
-        self.bump_update_tick();
+        self.perform_gc(gc_node_s, &mut true, guard);
         Some(old)
     }
 

@@ -163,7 +163,6 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyMap<K, V, C> {
             prepared.desc.len()
         );
         self.inner.help_batch(&prepared.desc);
-        self.inner.bump_update_tick();
     }
 
     /// Phase 2: publish the shared final version; every sub-batch bound

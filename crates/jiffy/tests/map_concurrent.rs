@@ -372,15 +372,15 @@ fn snapshot_registration_races_gc_floor_under_preemption() {
     // missing keys that were never removed).
     //
     // Reproduce the conditions deliberately: maximal floor-publication
-    // frequency (`updates_per_min_scan: 1` — every update rescans the
-    // registry), 3x thread oversubscription, and yield injection around
-    // snapshot registration so the preemption the 1-core box produced by
-    // accident happens by design.
+    // frequency (the revision GC rescans the registry on every update
+    // whose head is newer than the floor — the default), 3x thread
+    // oversubscription, and yield injection around snapshot
+    // registration so the preemption the 1-core box produced by accident
+    // happens by design.
     let map: Arc<JiffyMap<u64, u64>> = Arc::new(JiffyMap::with_config(JiffyConfig {
         min_revision_size: 2,
         max_revision_size: 8,
         fixed_revision_size: Some(4),
-        updates_per_min_scan: 1,
         ..Default::default()
     }));
     const KEYS: u64 = 64;
