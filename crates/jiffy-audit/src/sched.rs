@@ -24,12 +24,16 @@
 //! scripted hook ([`install`]) to replay an exact interleaving, or the
 //! seeded randomized explorer ([`install_explorer`]) to fuzz for new
 //! ones. Installation is globally serialized (an install blocks until
-//! the previous hook uninstalls), so concurrent tests cannot observe
-//! each other's schedules.
+//! the previous hook uninstalls), and a hook reaches only the threads
+//! enrolled in its [`Scope`] — through [`enroll`] or [`spawn`] — so
+//! tests running in parallel in one process neither take each other's
+//! scripted shots nor get perturbed by each other's explorers.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::thread::JoinHandle;
 
 /// The hook type: called with the site name at every probe.
 pub type Hook = Arc<dyn Fn(&'static str) + Send + Sync>;
@@ -37,7 +41,18 @@ pub type Hook = Arc<dyn Fn(&'static str) + Send + Sync>;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static HOOK: RwLock<Option<Hook>> = RwLock::new(None);
 static HITS: Mutex<Option<HashMap<&'static str, u64>>> = Mutex::new(None);
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+/// Whether a scope is live; installers wait on `INSTALL_FREE` for it to
+/// clear.
+static INSTALLED: Mutex<bool> = Mutex::new(false);
+static INSTALL_FREE: Condvar = Condvar::new();
+/// Id of the live scope (0: none). Ids are never reused, so a thread
+/// still enrolled in a dropped scope is outside every later one.
+static SCOPE: AtomicU64 = AtomicU64::new(0);
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static ENROLLED: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A named preemption point. Free (a single relaxed load) unless a hook
 /// is installed; the compiler removes even that in crates that do not
@@ -51,6 +66,10 @@ pub fn probe(site: &'static str) {
 
 #[cold]
 fn probe_slow(site: &'static str) {
+    // A thread outside the live scope passes untouched.
+    if ENROLLED.with(Cell::get) != SCOPE.load(Ordering::Acquire) {
+        return;
+    }
     let hook = HOOK.read().unwrap_or_else(|e| e.into_inner()).clone();
     if let Some(hook) = hook {
         if let Some(map) = lock_hits().as_mut() {
@@ -64,43 +83,94 @@ fn lock_hits() -> MutexGuard<'static, Option<HashMap<&'static str, u64>>> {
     HITS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// How many times `site` has fired since the current hook was installed.
+/// How many times `site` has fired on enrolled threads since the current
+/// hook was installed.
 pub fn hits(site: &str) -> u64 {
     lock_hits().as_ref().and_then(|m| m.get(site).copied()).unwrap_or(0)
 }
 
-/// Total probe firings since the current hook was installed.
+/// Total probe firings on enrolled threads since the current hook was
+/// installed.
 pub fn total_hits() -> u64 {
     lock_hits().as_ref().map_or(0, |m| m.values().sum())
 }
 
-/// RAII witness of an installed hook: uninstalls on drop and releases
-/// the global installation lock.
-pub struct Installed {
-    _lock: MutexGuard<'static, ()>,
+/// RAII witness of an installed hook and the set of threads it reaches:
+/// uninstalls on drop and lets the next installer in. `Send + Sync`, so
+/// scoped threads can [`enroll`] through a shared reference and a
+/// process-long scope can live in a `static`.
+pub struct Scope {
+    id: u64,
 }
 
-impl Drop for Installed {
+impl Drop for Scope {
     fn drop(&mut self) {
         ENABLED.store(false, Ordering::SeqCst);
+        SCOPE.store(0, Ordering::SeqCst);
         *HOOK.write().unwrap_or_else(|e| e.into_inner()) = None;
         *lock_hits() = None;
+        *INSTALLED.lock().unwrap_or_else(|e| e.into_inner()) = false;
+        INSTALL_FREE.notify_one();
     }
 }
 
+/// Put the calling thread in `scope`: from now on its probes run the
+/// scope's hook. A thread is in at most one scope; enrolling again moves
+/// it.
+pub fn enroll(scope: &Scope) {
+    ENROLLED.with(|c| c.set(scope.id));
+}
+
+/// `std::thread::spawn`, with the new thread enrolled in `scope` before
+/// `f` runs.
+pub fn spawn<F, T>(scope: &Scope, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    spawn_named(scope, None, f)
+}
+
+/// [`spawn`] with an optional thread name (scripted hooks often tell
+/// their threads apart by name).
+pub fn spawn_named<F, T>(scope: &Scope, name: Option<&str>, f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let id = scope.id;
+    let mut builder = std::thread::Builder::new();
+    if let Some(name) = name {
+        builder = builder.name(name.to_string());
+    }
+    builder
+        .spawn(move || {
+            ENROLLED.with(|c| c.set(id));
+            f()
+        })
+        .expect("failed to spawn an enrolled thread")
+}
+
 /// Install a scripted hook. Blocks until no other hook is installed.
+/// The hook runs only on threads enrolled in the returned scope.
 ///
 /// The hook runs on the probing thread, inside the probed operation —
 /// it may yield, sleep, or rendezvous with the test body (channels,
 /// barriers), which is how an exact historical interleaving is replayed.
 /// It must not itself call back into code that probes, or it will
 /// re-enter (probes are not masked during a hook).
-pub fn install(hook: Hook) -> Installed {
-    let lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+pub fn install(hook: Hook) -> Scope {
+    let mut installed = INSTALLED.lock().unwrap_or_else(|e| e.into_inner());
+    while *installed {
+        installed = INSTALL_FREE.wait(installed).unwrap_or_else(|e| e.into_inner());
+    }
+    *installed = true;
+    let id = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
     *lock_hits() = Some(HashMap::new());
     *HOOK.write().unwrap_or_else(|e| e.into_inner()) = Some(hook);
+    SCOPE.store(id, Ordering::SeqCst);
     ENABLED.store(true, Ordering::SeqCst);
-    Installed { _lock: lock }
+    Scope { id }
 }
 
 // ---------------------------------------------------------------------------
@@ -163,8 +233,9 @@ fn splitmix(state: &mut u64) -> u64 {
 /// the run. Same seed + same workload ⇒ the same *decision sequence*
 /// per thread arrival order; the OS still interleaves freely between
 /// decisions, so this fuzzes schedules rather than replaying one —
-/// exact replay is what scripted [`install`] hooks are for.
-pub fn install_explorer(cfg: ExplorerConfig) -> Installed {
+/// exact replay is what scripted [`install`] hooks are for. Like
+/// [`install`], it perturbs only the threads enrolled in its scope.
+pub fn install_explorer(cfg: ExplorerConfig) -> Scope {
     // Pre-scatter the change points over the horizon.
     let mut s = cfg.seed ^ 0xD1B54A32D192ED03;
     let mut change_points: Vec<u64> =
@@ -226,11 +297,19 @@ pub fn config_from_env() -> Option<ExplorerConfig> {
 mod tests {
     use super::*;
 
+    /// Wait until no scope is live, so no hook can see this thread's
+    /// probes, and keep it that way while the guard is held.
+    fn no_scope_live() -> MutexGuard<'static, bool> {
+        let mut installed = INSTALLED.lock().unwrap_or_else(|e| e.into_inner());
+        while *installed {
+            installed = INSTALL_FREE.wait(installed).unwrap_or_else(|e| e.into_inner());
+        }
+        installed
+    }
+
     #[test]
     fn probe_without_hook_is_inert() {
-        // Holding the install lock guarantees no other test's hook is
-        // live (installs hold it, and uninstall clears state first).
-        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _idle = no_scope_live();
         probe("test::inert");
         assert_eq!(hits("test::inert"), 0);
         assert_eq!(total_hits(), 0);
@@ -241,9 +320,10 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         {
-            let _h = install(Arc::new(move |site| {
+            let h = install(Arc::new(move |site| {
                 seen2.lock().unwrap().push(site);
             }));
+            enroll(&h);
             probe("test::a");
             probe("test::a");
             probe("test::b");
@@ -251,11 +331,29 @@ mod tests {
             assert_eq!(hits("test::b"), 1);
             assert_eq!(total_hits(), 3);
         }
-        // Uninstalled: counters cleared (re-check under the install lock
-        // so a concurrent test's hook cannot intercept the site name).
-        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Uninstalled: counters cleared.
+        let _idle = no_scope_live();
         assert_eq!(hits("test::a"), 0);
         assert_eq!(*seen.lock().unwrap(), vec!["test::a", "test::a", "test::b"]);
+    }
+
+    #[test]
+    fn threads_outside_the_scope_pass_untouched() {
+        // Enrolled in an earlier scope is outside every later one.
+        let earlier = install(Arc::new(|_| {}));
+        enroll(&earlier);
+        drop(earlier);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        let h = install(Arc::new(move |site| {
+            seen2.lock().unwrap().push(site);
+        }));
+        probe("test::outsider");
+        std::thread::spawn(|| probe("test::outsider")).join().unwrap();
+        spawn(&h, || probe("test::member")).join().unwrap();
+        assert_eq!(hits("test::outsider"), 0);
+        assert_eq!(total_hits(), 1);
+        assert_eq!(*seen.lock().unwrap(), vec!["test::member"]);
     }
 
     #[test]
@@ -264,7 +362,8 @@ mod tests {
         // tests running in parallel would otherwise fight over the hook.
         let first = install(Arc::new(|_| {}));
         let t = std::thread::spawn(|| {
-            let _second = install_explorer(ExplorerConfig::with_seed(7));
+            let second = install_explorer(ExplorerConfig::with_seed(7));
+            enroll(&second);
             probe("test::ser");
             hits("test::ser")
         });
@@ -291,10 +390,10 @@ mod tests {
 
     #[test]
     fn explorer_smoke_under_threads() {
-        let _h = install_explorer(ExplorerConfig { horizon: 500, ..ExplorerConfig::with_seed(1) });
+        let h = install_explorer(ExplorerConfig { horizon: 500, ..ExplorerConfig::with_seed(1) });
         let mut handles = Vec::new();
         for _ in 0..4 {
-            handles.push(std::thread::spawn(|| {
+            handles.push(spawn(&h, || {
                 for _ in 0..200 {
                     probe("test::smoke");
                 }

@@ -244,6 +244,13 @@ pub fn merged_trace() -> Vec<TraceEvent> {
     out
 }
 
+/// The calling thread's recorder id, or `None` if it has recorded
+/// nothing yet (a ring registers on its thread's first event). A test
+/// reads its own threads' events back out of [`merged_trace`] by it.
+pub fn current_thread_id() -> Option<u32> {
+    LOCAL.try_with(|cell| cell.get().map(|r| r.thread)).ok().flatten()
+}
+
 /// Registered rings, for callers that need per-thread attribution
 /// (names, recorded counts) alongside [`merged_trace`].
 pub fn rings() -> Vec<Arc<ThreadRing>> {

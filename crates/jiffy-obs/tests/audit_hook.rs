@@ -45,15 +45,12 @@ fn dump_inside_the_publication_window_skips_the_half_written_slot() {
         }
     }));
 
-    std::thread::Builder::new()
-        .name(WRITER.into())
-        .spawn(|| {
-            trace_event!(MergeBuild, 111i64, 0xA, 0xA);
-            trace_event!(MergeComplete, 222i64, 0xB, 0xB);
-        })
-        .unwrap()
-        .join()
-        .unwrap();
+    jiffy_audit::sched::spawn_named(&hook, Some(WRITER), || {
+        trace_event!(MergeBuild, 111i64, 0xA, 0xA);
+        trace_event!(MergeComplete, 222i64, 0xB, 0xB);
+    })
+    .join()
+    .unwrap();
     drop(hook);
 
     let mid = mid_dump.lock().unwrap().clone().expect("hook fired inside the second record");

@@ -1273,7 +1273,7 @@ mod tests {
         let (tx_go, rx_go) = mpsc::channel::<()>();
         let rx_go = std::sync::Mutex::new(rx_go);
         let h_armed = Arc::clone(&armed);
-        let _h = jiffy_audit::sched::install(Arc::new(move |site| {
+        let h = jiffy_audit::sched::install(Arc::new(move |site| {
             if site == "gate::between_loads" && h_armed.load(Ordering::SeqCst) {
                 tx_win.send(()).unwrap();
                 rx_go.lock().unwrap().recv().unwrap();
@@ -1284,9 +1284,10 @@ mod tests {
         let waiter = {
             let gate = Arc::clone(&gate);
             let done = Arc::clone(&done);
-            std::thread::spawn(move || {
+            jiffy_audit::sched::spawn(&h, move || {
                 gate.await_quiescence();
                 done.store(true, Ordering::SeqCst);
+                jiffy_obs::recorder::current_thread_id()
             })
         };
         // Window 1: the waiter is parked between its two counter loads,
@@ -1312,13 +1313,14 @@ mod tests {
         armed.store(false, Ordering::SeqCst);
         drop(stalled);
         tx_go.send(()).unwrap();
-        waiter.join().unwrap();
+        let waiter_thread = waiter.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert!(jiffy_audit::sched::hits("gate::between_loads") >= 2);
 
-        // Golden flight-recorder trace: the waiter declared quiescence
-        // only after looping (spins recorded in payload b), and the
-        // replay's kind set matches the checked-in fixture.
+        // Golden flight-recorder trace, read off the waiter's own ring:
+        // it declared quiescence only after looping (spins recorded in
+        // payload b), and the replay's kind set matches the checked-in
+        // fixture.
         let golden: Vec<String> = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/fixtures/gate_quiesce_race.golden"
@@ -1329,7 +1331,10 @@ mod tests {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(String::from)
         .collect();
-        let trace = jiffy_obs::merged_trace();
+        let trace: Vec<_> = jiffy_obs::merged_trace()
+            .into_iter()
+            .filter(|e| Some(e.thread) == waiter_thread)
+            .collect();
         let mut kinds: Vec<&str> = trace
             .iter()
             .filter(|e| e.kind == jiffy_obs::EventKind::GateQuiesce)

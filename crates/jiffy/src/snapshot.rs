@@ -302,7 +302,7 @@ mod tests {
         let rx_go = Mutex::new(rx_go);
         let armed = Arc::new(AtomicBool::new(true));
         let h_armed = Arc::clone(&armed);
-        let _h = jiffy_audit::sched::install(Arc::new(move |site| {
+        let h = jiffy_audit::sched::install(Arc::new(move |site| {
             if site == "snapshot::floor-walk" && h_armed.swap(false, Ordering::SeqCst) {
                 tx_win.send(()).unwrap();
                 rx_go.lock().unwrap().recv().unwrap();
@@ -310,7 +310,11 @@ mod tests {
         }));
 
         std::thread::scope(|s| {
-            let scanner = s.spawn(|| reg.min_version(&clock));
+            let scanner = s.spawn(|| {
+                jiffy_audit::sched::enroll(&h);
+                let floor = reg.min_version(&clock);
+                (floor, jiffy_obs::recorder::current_thread_id())
+            });
             rx_win
                 .recv_timeout(Duration::from_secs(10))
                 .expect("the scanner never reached the probe");
@@ -323,15 +327,16 @@ mod tests {
             let version = clock.now() as i64;
             slot.refresh(version);
             tx_go.send(()).unwrap();
-            let floor = scanner.join().unwrap();
+            let (floor, scanner_thread) = scanner.join().unwrap();
             assert!(
                 floor <= version,
                 "GC floor {floor} passed the racing registration at {version}"
             );
             slot.release();
 
-            // Golden flight-recorder trace: the walk saw the racing
-            // registration and recorded a cap-bound floor (b = 1).
+            // Golden flight-recorder trace, read off the scanner's own
+            // ring: the walk saw the racing registration and recorded a
+            // cap-bound floor (b = 1).
             let golden: Vec<String> = std::fs::read_to_string(concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/tests/fixtures/floor_walk_race.golden"
@@ -342,7 +347,10 @@ mod tests {
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(String::from)
             .collect();
-            let trace = jiffy_obs::merged_trace();
+            let trace: Vec<_> = jiffy_obs::merged_trace()
+                .into_iter()
+                .filter(|e| Some(e.thread) == scanner_thread)
+                .collect();
             let mut kinds: Vec<&str> = trace
                 .iter()
                 .filter(|e| e.kind == jiffy_obs::EventKind::GcFloorAdvance)

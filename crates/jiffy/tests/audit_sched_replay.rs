@@ -52,7 +52,7 @@ fn merge_adopt_recheck_probe_replays_the_duplicate_merge_revision_race() {
     // One-shot hook: the FIRST helper to reach the phase-1 window parks
     // there; every later arrival (the racing helpers this test drives)
     // passes straight through.
-    let _h = jiffy_audit::sched::install(Arc::new(move |site| {
+    let h = jiffy_audit::sched::install(Arc::new(move |site| {
         if site == "merge::adopt-recheck" && h_armed.swap(false, Ordering::SeqCst) {
             tx_win.send(()).unwrap();
             rx_go.lock().unwrap().recv().unwrap();
@@ -61,7 +61,7 @@ fn merge_adopt_recheck_probe_replays_the_duplicate_merge_revision_race() {
 
     let remover = {
         let map = Arc::clone(&map);
-        std::thread::spawn(move || (0..KEYS).map(|k| map.remove(&k)).collect::<Vec<_>>())
+        jiffy_audit::sched::spawn(&h, move || (0..KEYS).map(|k| map.remove(&k)).collect::<Vec<_>>())
     };
     // A merge helper is now parked between "predecessor chosen" and
     // "predecessor head read".
@@ -191,7 +191,7 @@ fn locate_validated_probe_replays_the_stale_batch_group_race() {
         release.insert(who, tx);
         parked.insert(who, Mutex::new(rx));
     }
-    let _h = jiffy_audit::sched::install(Arc::new(move |site| {
+    let h = jiffy_audit::sched::install(Arc::new(move |site| {
         if site != "locate::validated" {
             return;
         }
@@ -219,7 +219,7 @@ fn locate_validated_probe_replays_the_stale_batch_group_race() {
     }));
     let spawn = |name: &str, body: fn(&JiffyMap<u64, u64>)| {
         let map = Arc::clone(&map);
-        std::thread::Builder::new().name(name.into()).spawn(move || body(&map)).unwrap()
+        jiffy_audit::sched::spawn_named(&h, Some(name), move || body(&map))
     };
     let wait_for = |who: &str| {
         assert_eq!(rx_at.recv_timeout(Duration::from_secs(30)).as_deref(), Ok(who));

@@ -28,5 +28,6 @@ pub use hist::LogHistogram;
 pub use registry::{indices_for_figure, make_index_u32, make_index_u64, IndexKind, DEFAULT_SHARDS};
 pub use report::{write_csv, write_json, LatencySummary, Measurement, OpCosts, Row, RunMeta};
 pub use runner::{
-    last_worker_panic, parse_inject_panic, run_scenario, with_panic_context, BenchKey, RunConfig,
+    enroll_in_explorer, last_worker_panic, parse_inject_panic, run_scenario, with_panic_context,
+    BenchKey, RunConfig,
 };

@@ -422,6 +422,7 @@ fn cmd_sharding_cross_batch(args: &Args) {
                     let keys = keys_for(w);
                     let (map, stop, commits) = (&map, &stop, &commits);
                     s.spawn(move || {
+                        mkbench::enroll_in_explorer();
                         mkbench::with_panic_context(
                             || format!("cross-batch writer {w}/{t}"),
                             || {
@@ -539,6 +540,7 @@ fn cmd_reshard(args: &Args) {
                 let mut sched = workload::RoleSchedule::new(*plan);
                 let window = label.to_string();
                 s.spawn(move || {
+                    mkbench::enroll_in_explorer();
                     // The rare reshard flake re-raises through
                     // `thread::scope` with its payload flattened; capture
                     // which window/worker died while it is still known.
@@ -672,6 +674,7 @@ fn cmd_trace(args: &Args) {
             let map = Arc::clone(&map);
             let stop = &stop;
             s.spawn(move || {
+                mkbench::enroll_in_explorer();
                 let mut gen =
                     workload::KeyGen::new(workload::KeyDist::Uniform, key_space, tid as u64 + 1);
                 let mut buf: Vec<index_api::BatchOp<u64, u64>> = Vec::new();
@@ -783,6 +786,7 @@ fn cmd_autoscale(args: &Args) {
                 let keys = args.keys;
                 let mut sched = workload::RoleSchedule::new(*plan);
                 s.spawn(move || {
+                    mkbench::enroll_in_explorer();
                     let mut gen = workload::KeyGen::new(KeyDist::Uniform, keys, tid as u64 + 1);
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let k = gen.next_key();
@@ -901,7 +905,7 @@ fn main() {
     // whole benchmark under the seeded race explorer (perturbed, NOT
     // representative of performance — a correctness stress mode).
     #[cfg(feature = "audit-sched")]
-    let _explorer = jiffy_audit::sched::config_from_env().map(|cfg| {
+    if let Some(cfg) = jiffy_audit::sched::config_from_env() {
         eprintln!("mkbench: audit-sched explorer installed (seed {})", cfg.seed);
         // A failure found by the explorer is worthless without the seed
         // *and* the interleaving: dump the flight-recorder tail with the
@@ -912,8 +916,9 @@ fn main() {
             jiffy_obs::dump_on_failure(&format!("audit-sched explorer failure (seed {seed})"), 64);
             prev(info);
         }));
-        jiffy_audit::sched::install_explorer(cfg)
-    });
+        let _ = mkbench::runner::EXPLORER.set(jiffy_audit::sched::install_explorer(cfg));
+        mkbench::enroll_in_explorer();
+    }
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
         eprintln!(

@@ -33,6 +33,21 @@ pub fn last_worker_panic() -> Option<String> {
     LAST_WORKER_PANIC.lock().unwrap().clone()
 }
 
+/// The seeded race explorer of an `AUDIT_SCHED_SEED` run, installed once
+/// by `main` for the whole process.
+#[cfg(feature = "audit-sched")]
+pub static EXPLORER: std::sync::OnceLock<jiffy_audit::sched::Scope> = std::sync::OnceLock::new();
+
+/// Put the calling thread under the race explorer, if one is installed:
+/// the explorer perturbs only the threads enrolled in it, so every
+/// benchmark thread calls this first. A no-op without `audit-sched`.
+pub fn enroll_in_explorer() {
+    #[cfg(feature = "audit-sched")]
+    if let Some(scope) = EXPLORER.get() {
+        jiffy_audit::sched::enroll(scope);
+    }
+}
+
 /// Run `f`, and if it panics, record the panic payload together with
 /// `ctx()`'s harness context (scenario, index, thread id, ...) — to
 /// stderr and to [`last_worker_panic`] — before re-raising.
@@ -151,6 +166,7 @@ fn prefill<K: BenchKey, V: Value>(index: &dyn OrderedIndex<K, V>, cfg: &RunConfi
         for w in 0..workers {
             let index = &index;
             s.spawn(move || {
+                enroll_in_explorer();
                 let mut i = w;
                 while i < count {
                     let k = workload::permute(i, count) * step;
@@ -217,6 +233,7 @@ pub fn run_scenario<K: BenchKey, V: Value>(
             let scenario = scenario.clone();
             let cfg = cfg.clone();
             s.spawn(move || {
+                enroll_in_explorer();
                 let ctx = format!(
                     "scenario {}, worker {}/{}, key_space {}",
                     scenario.id, tid, cfg.threads, cfg.key_space

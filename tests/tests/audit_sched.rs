@@ -41,10 +41,12 @@ fn seeds(salt: u64) -> Vec<u64> {
 
 /// Run `round` under the explorer at `seed`; on panic, print the seed
 /// and re-raise.
-fn explore(seed: u64, round: impl FnOnce() + std::panic::UnwindSafe) {
+fn explore(seed: u64, round: impl FnOnce(&sched::Scope) + std::panic::UnwindSafe) {
     let cfg = ExplorerConfig { horizon: 20_000, ..ExplorerConfig::with_seed(seed) };
     let handle = sched::install_explorer(cfg);
-    let result = std::panic::catch_unwind(round);
+    // The round's driver thread is perturbed too, not only its workers.
+    sched::enroll(&handle);
+    let result = std::panic::catch_unwind(|| round(&handle));
     drop(handle);
     if let Err(payload) = result {
         eprintln!(
@@ -59,7 +61,7 @@ fn explore(seed: u64, round: impl FnOnce() + std::panic::UnwindSafe) {
 /// nodes oscillating around the merge threshold while snapshot readers
 /// force constant helping. The value protocol (always `k`) turns any
 /// torn merge into a visible corruption.
-fn jiffy_churn_round() {
+fn jiffy_churn_round(scope: &sched::Scope) {
     const KEYS: u64 = 48;
     let map: Arc<JiffyMap<u64, u64>> = Arc::new(JiffyMap::with_config(tiny_config()));
     for k in 0..KEYS {
@@ -70,7 +72,7 @@ fn jiffy_churn_round() {
     for t in 0..4u64 {
         let map = Arc::clone(&map);
         let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
+        handles.push(sched::spawn(scope, move || {
             let mut x = 0x9E37 ^ (t + 1);
             while !stop.load(Ordering::Relaxed) {
                 x ^= x << 13;
@@ -112,7 +114,7 @@ fn jiffy_churn_round() {
 /// Writers churn through live shard splits and merges on an elastic
 /// sharded map — the workload behind the historical <1/200 steady-state
 /// reshard flake. Lost writes surface in the final sweep.
-fn reshard_churn_round() {
+fn reshard_churn_round(scope: &sched::Scope) {
     const KEYS: u64 = 4_000;
     let map: Arc<ElasticJiffy<u64, u64>> =
         Arc::new(ElasticJiffy::with_router(Router::range(vec![KEYS / 2]), JiffyConfig::default()));
@@ -124,7 +126,7 @@ fn reshard_churn_round() {
     for t in 0..3u64 {
         let map = Arc::clone(&map);
         let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
+        handles.push(sched::spawn(scope, move || {
             let mut x = 0xA24B ^ (t + 1);
             while !stop.load(Ordering::Relaxed) {
                 x ^= x << 13;
