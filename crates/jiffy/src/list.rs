@@ -18,6 +18,8 @@
 
 use std::sync::atomic::Ordering;
 
+#[cfg(debug_assertions)]
+use crossbeam_epoch::Atomic;
 use crossbeam_epoch::{Guard, Shared};
 use crossbeam_utils::prefetch_read;
 use jiffy_clock::VersionClock;
@@ -62,6 +64,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 if curr_s.is_null() {
                     break;
                 }
+                #[cfg(debug_assertions)]
+                assert_not_retired(pred, &pred.tower[level - 1], curr_s, guard);
                 // SAFETY: non-null and reached under the enclosing pin guard;
                 // EBR defers reclamation of epoch-reachable nodes until unpin.
                 let curr = unsafe { curr_s.deref() };
@@ -85,6 +89,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     } else {
                         Shared::null()
                     };
+                    #[cfg(feature = "audit-sched")]
+                    jiffy_audit::sched::probe("list::unlink-edge");
                     let _ = pred.tower[level - 1].compare_exchange(
                         curr_s,
                         succ,
@@ -290,6 +296,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 if curr_s.is_null() {
                     break;
                 }
+                #[cfg(debug_assertions)]
+                assert_not_retired(pred, &pred.tower[lvl - 1], curr_s, guard);
                 if curr_s == node_s {
                     // Already linked here (an older attempt of ours):
                     // treat the node's own successor as the bound.
@@ -304,6 +312,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     } else {
                         Shared::null()
                     };
+                    #[cfg(feature = "audit-sched")]
+                    jiffy_audit::sched::probe("list::unlink-edge");
                     let _ = pred.tower[lvl - 1].compare_exchange(
                         curr_s,
                         succ,
@@ -365,8 +375,12 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                     if curr_s.is_null() {
                         break 'retry; // not linked at this level
                     }
+                    #[cfg(debug_assertions)]
+                    assert_not_retired(pred, &pred.tower[level - 1], curr_s, guard);
                     if curr_s == node_s {
                         let succ = node.tower[level - 1].load(Ordering::Acquire, guard);
+                        #[cfg(feature = "audit-sched")]
+                        jiffy_audit::sched::probe("list::unlink-edge");
                         if pred.tower[level - 1]
                             .compare_exchange(
                                 curr_s,
@@ -419,6 +433,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 if curr_s.is_null() {
                     break;
                 }
+                #[cfg(debug_assertions)]
+                assert_not_retired(pred, &pred.tower[lvl - 1], curr_s, guard);
                 // SAFETY: non-null and reached under the enclosing pin guard;
                 // EBR defers reclamation of epoch-reachable nodes until unpin.
                 let curr = unsafe { curr_s.deref() };
@@ -434,5 +450,166 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             }
         }
         pred_s
+    }
+}
+
+/// The F4 tripwire (debug builds): panics when `curr_s`, just loaded from
+/// `pred`'s tower `edge`, is a retired node that a live `pred` still
+/// links. Merge cleanup retires a node only after unlinking it from every
+/// level, so such an edge was made or kept after the retirement, and a
+/// thread that pins later can follow it into freed memory. An edge out of
+/// a *terminated* `pred` is not flagged: only walkers that reached `pred`
+/// before it was unlinked can follow it, and their pins predate the
+/// retirement.
+#[cfg(debug_assertions)]
+fn assert_not_retired<K, V>(
+    pred: &Node<K, V>,
+    edge: &Atomic<Node<K, V>>,
+    curr_s: Shared<'_, Node<K, V>>,
+    guard: &Guard,
+) {
+    // SAFETY: non-null and reached under the enclosing pin guard;
+    // EBR defers reclamation of epoch-reachable nodes until unpin.
+    let curr = unsafe { curr_s.deref() };
+    if curr.retired.load(Ordering::Acquire)
+        && edge.load(Ordering::Acquire, guard) == curr_s
+        && !pred.is_terminated()
+    {
+        panic!("F4: a tower walk reached a retired node through a live edge");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crossbeam_epoch::Owned;
+    use jiffy_clock::AtomicClock;
+
+    use super::*;
+    use crate::config::JiffyConfig;
+    use crate::node::Revision;
+
+    type Inner = JiffyInner<u64, u64, AtomicClock>;
+
+    fn inner() -> Inner {
+        JiffyInner::new(AtomicClock::new(), JiffyConfig::default())
+    }
+
+    /// A node with key `key` and `height - 1` tower slots, not yet linked
+    /// anywhere. The map's teardown frees it once it is on level 0.
+    fn node<'g>(key: u64, height: usize, guard: &'g Guard) -> Shared<'g, Node<u64, u64>> {
+        let n = Node::new_normal(NodeKey::Key(key), height);
+        n.head.store(Owned::new(Revision::initial()), Ordering::Relaxed);
+        Owned::new(n).into_shared(guard)
+    }
+
+    /// Chain `nodes` after the base node on level 0, in order.
+    fn chain<'g>(m: &Inner, nodes: &[Shared<'g, Node<u64, u64>>], guard: &'g Guard) {
+        let mut pred_s = m.base_node(guard);
+        for &n in nodes {
+            // SAFETY: test-built nodes, alive until the map drops.
+            unsafe { pred_s.deref() }.next.store(n, Ordering::Release);
+            pred_s = n;
+        }
+    }
+
+    /// Every node reachable at `level` (0: the `next` chain), base excluded.
+    fn level_list<'g>(
+        m: &Inner,
+        level: usize,
+        guard: &'g Guard,
+    ) -> Vec<Shared<'g, Node<u64, u64>>> {
+        let mut out = Vec::new();
+        let mut n_s = m.base_node(guard);
+        loop {
+            // SAFETY: test-built nodes, alive until the map drops.
+            let n = unsafe { n_s.deref() };
+            n_s = match level {
+                0 => n.next.load(Ordering::Acquire, guard),
+                l => n.tower[l - 1].load(Ordering::Acquire, guard),
+            };
+            if n_s.is_null() {
+                return out;
+            }
+            out.push(n_s);
+        }
+    }
+
+    #[test]
+    fn find_pred_stops_strictly_below_the_key_find_node_for_key_lands_on() {
+        let m = inner();
+        let guard = &crossbeam_epoch::pin();
+        let nodes = [node(10, 3, guard), node(20, 2, guard), node(30, 1, guard)];
+        chain(&m, &nodes, guard);
+        for &n in &nodes {
+            m.link_tower(n, guard);
+        }
+        let [n10, n20, n30] = nodes;
+        assert_eq!(m.find_node_for_key(&20, guard), n20);
+        assert_eq!(m.find_node_for_key(&25, guard), n20);
+        assert_eq!(m.find_node_for_key(&5, guard), m.base_node(guard));
+        assert_eq!(m.find_pred(n20, guard), Some(n10));
+        assert_eq!(m.find_pred(n30, guard), Some(n20));
+        assert_eq!(m.find_pred(n10, guard), Some(m.base_node(guard)));
+        // A terminated target is snipped off level 0, not returned.
+        // SAFETY: test-built nodes, alive until the map drops.
+        unsafe { n20.deref() }.terminated.store(true, Ordering::SeqCst);
+        assert_eq!(m.find_pred(n20, guard), None);
+        assert_eq!(level_list(&m, 0, guard), vec![n10, n30]);
+        // Put it back so the map's teardown frees it.
+        // SAFETY: test-built nodes, alive until the map drops.
+        unsafe { n10.deref() }.next.store(n20, Ordering::Release);
+    }
+
+    #[test]
+    fn tower_position_skips_the_node_being_linked() {
+        let m = inner();
+        let guard = &crossbeam_epoch::pin();
+        let nodes = [node(10, 2, guard), node(20, 4, guard), node(30, 4, guard)];
+        chain(&m, &nodes, guard);
+        for &n in &nodes {
+            m.link_tower(n, guard);
+        }
+        let [n10, n20, n30] = nodes;
+        assert_eq!(level_list(&m, 1, guard), vec![n10, n20, n30]);
+        assert_eq!(level_list(&m, 3, guard), vec![n20, n30]);
+        // Asked for a slot at a level it already holds, the walk stops in
+        // front of the node rather than standing on it — also once the
+        // node is terminated, which the walk would otherwise snip.
+        for terminated in [false, true] {
+            // SAFETY: test-built nodes, alive until the map drops.
+            unsafe { n20.deref() }.terminated.store(terminated, Ordering::SeqCst);
+            assert_eq!(m.tower_position(&20, 1, n20, guard), (n10, n20));
+            assert_eq!(m.tower_position(&20, 3, n20, guard), (m.base_node(guard), n20));
+            assert_eq!(level_list(&m, 1, guard), vec![n10, n20, n30]);
+        }
+    }
+
+    #[test]
+    fn unlink_tower_removes_a_node_from_every_level_even_behind_an_equal_key() {
+        let m = inner();
+        let guard = &crossbeam_epoch::pin();
+        // `old` and `new` share key 20, `old` in front: linking `new` first
+        // and `old` second puts `old` ahead (a strict walk stops in front
+        // of an equal key).
+        let (n10, old, new, n30) =
+            (node(10, 2, guard), node(20, 3, guard), node(20, 3, guard), node(30, 3, guard));
+        chain(&m, &[n10, old, new, n30], guard);
+        for n in [n10, new, old, n30] {
+            m.link_tower(n, guard);
+        }
+        assert_eq!(level_list(&m, 1, guard), vec![n10, old, new, n30]);
+        assert_eq!(level_list(&m, 2, guard), vec![old, new, n30]);
+        // Both terminated: the unlinker stands on `old` (it does not snip
+        // other dead nodes) and still finds `new` behind it.
+        for n in [old, new] {
+            // SAFETY: test-built nodes, alive until the map drops.
+            unsafe { n.deref() }.terminated.store(true, Ordering::SeqCst);
+        }
+        m.unlink_tower(new, guard);
+        assert_eq!(level_list(&m, 1, guard), vec![n10, old, n30]);
+        assert_eq!(level_list(&m, 2, guard), vec![old, n30]);
+        // Unlinking a node that no level holds is a no-op.
+        m.unlink_tower(new, guard);
+        assert_eq!(level_list(&m, 1, guard), vec![n10, old, n30]);
     }
 }

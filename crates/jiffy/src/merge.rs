@@ -312,6 +312,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 o_s.as_raw() as usize,
                 mterm_s.as_raw() as usize
             );
+            #[cfg(debug_assertions)]
+            o.retired.store(true, Ordering::Release);
             // SAFETY: one-shot cleanup — exactly one helper wins the
             // claim CAS, and each has itself verified the node is fully
             // unlinked, so no new reader can reach the shell or the

@@ -375,6 +375,11 @@ pub(crate) struct Node<K, V> {
     /// Shortcut pointers for levels `1..=height`. `tower[i]` is the
     /// successor at level `i + 1`. Empty for temp split nodes.
     pub(crate) tower: Box<[Atomic<Node<K, V>>]>,
+    /// Debug builds: set by merge cleanup just before the node's
+    /// destruction is deferred. A live node must never link a retired
+    /// one; the tower walk checks (ROADMAP F4).
+    #[cfg(debug_assertions)]
+    pub(crate) retired: AtomicBool,
 }
 
 impl<K, V> Node<K, V> {
@@ -387,6 +392,8 @@ impl<K, V> Node<K, V> {
             terminated: AtomicBool::new(false),
             kind: NodeKind::Normal,
             tower,
+            #[cfg(debug_assertions)]
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -398,6 +405,8 @@ impl<K, V> Node<K, V> {
             terminated: AtomicBool::new(false),
             kind: NodeKind::TempSplit { origin: Atomic::null(), lsr: Atomic::null() },
             tower: Box::new([]),
+            #[cfg(debug_assertions)]
+            retired: AtomicBool::new(false),
         }
     }
 

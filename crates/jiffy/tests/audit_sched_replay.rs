@@ -1,7 +1,8 @@
 //! Deterministic replays of historical races through the engine's
 //! `audit-sched` probes (see `jiffy_audit::sched`): the merge-adoption
-//! race (`merge::adopt-recheck`) and the stale-batch-group race
-//! (`locate::validated`, ROADMAP F1).
+//! race (`merge::adopt-recheck`), the stale-batch-group race
+//! (`locate::validated`, ROADMAP F1) and a tower link to a retired node
+//! (`list::unlink-edge`, ROADMAP F4, red until it is fixed).
 //!
 //! The merge-adoption bug (the ~1/40 debug-suite flake fixed in PR 4): a
 //! merge helper preempted in phase 1 — predecessor chosen, head not yet
@@ -282,6 +283,175 @@ fn locate_validated_probe_replays_the_stale_batch_group_race() {
         .filter(|n| n.starts_with("Merge") || n.starts_with("Split"))
         .collect();
     assert_eq!(structure, golden, "structure events diverged from the golden trace");
+}
+
+/// F4 (ROADMAP): a tower edge outlives its node, through the
+/// `list::unlink-edge` probe and the debug-build `retired` tripwire.
+///
+/// The replayed race is a tower *linker* that loses the CPU between its
+/// terminated check and its link CAS. A split publishes `o` on level 0
+/// and its publisher goes on to link `o`'s tower: `link_tower` sees `o`
+/// live and starts `tower_position`, whose walk meets a dead node `D` and
+/// parks at the probe before snipping it. Meanwhile another thread merges
+/// `o` away: it terminates `o`, finds no tower edge into it (none exists
+/// yet), unlinks it from level 0 and retires it. Released, the linker
+/// links the retired `o` into level 1; its next terminated check sends it
+/// to `unlink_tower(o)`, whose walk reaches `o` through a live edge —
+/// "F4: a tower walk reached a retired node through a live edge". Without
+/// the tripwire, any thread that pins in that window can follow the edge
+/// after `o` is freed: the stress test's misaligned-pointer and
+/// index-out-of-bounds panics.
+///
+/// The dead `D` is `o`'s level-0 successor, parked mid-merge by a second
+/// prober after it is terminated and before its own tower is unlinked.
+/// The interleaving is scripted; tower heights are random, and the race
+/// needs both `o` and `D` to have a tower (one map in four), so the
+/// replay builds fresh maps until they do.
+#[test]
+#[cfg(debug_assertions)]
+#[ignore = "F4: red until the tower-edge fix"]
+fn unlink_edge_probe_replays_a_tower_link_to_a_retired_node() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for _ in 0..64 {
+        if link_after_retire_replay() {
+            return;
+        }
+    }
+    panic!("no map in 64 gave both `o` and `D` a tower");
+}
+
+/// Where a scripted thread of [`link_after_retire_replay`] stopped.
+#[derive(Debug, PartialEq)]
+enum At {
+    /// The linker at an `epoch::defer` probe.
+    Defer,
+    /// A thread parked at `list::unlink-edge`.
+    Edge(&'static str),
+    /// A thread's body returned.
+    Done(&'static str),
+}
+
+/// One run of the F4 script on a fresh map. Returns whether the tower
+/// heights let the race happen; re-raises the linker's panic.
+fn link_after_retire_replay() -> bool {
+    // Fixed target 4: a node splits at 8 entries and merges at 1.
+    let config = JiffyConfig {
+        min_revision_size: 2,
+        max_revision_size: 8,
+        fixed_revision_size: Some(4),
+        ..Default::default()
+    };
+    let map: Arc<JiffyMap<u64, u64>> = Arc::new(JiffyMap::with_config(config));
+    // The eighth put splits the base node: [0, 10, 20, 30] and
+    // D = [40, 50, 60, 70]. Three more leave the base one short of a
+    // split.
+    for k in (0..80).step_by(10).chain(1..4) {
+        map.put(k, k);
+    }
+    assert_eq!(map.debug_stats().nodes, 2);
+
+    let (tx_at, rx_at) = mpsc::channel::<At>();
+    let mut release = std::collections::HashMap::new();
+    let mut parked = std::collections::HashMap::new();
+    for who in ["linker", "merger"] {
+        let (tx, rx) = mpsc::channel::<()>();
+        release.insert(who, tx);
+        parked.insert(who, Mutex::new(rx));
+    }
+    let defer_armed = Arc::new(AtomicBool::new(true));
+    let edge_armed = [("linker", AtomicBool::new(true)), ("merger", AtomicBool::new(true))];
+    let hook_tx = Mutex::new(tx_at.clone());
+    let hook_defer_armed = Arc::clone(&defer_armed);
+    let h = jiffy_audit::sched::install(Arc::new(move |site| {
+        let thread = std::thread::current();
+        let Some(name) = thread.name() else { return };
+        let Some((who, armed)) = edge_armed.iter().find(|(who, _)| *who == name) else {
+            return;
+        };
+        let at = match site {
+            "epoch::defer" if *who == "linker" && hook_defer_armed.load(Ordering::SeqCst) => {
+                At::Defer
+            }
+            "list::unlink-edge" if armed.swap(false, Ordering::SeqCst) => At::Edge(who),
+            _ => return,
+        };
+        hook_tx.lock().unwrap().send(at).unwrap();
+        parked[who].lock().unwrap().recv().unwrap();
+    }));
+    let spawn = |who: &'static str, body: fn(&JiffyMap<u64, u64>)| {
+        let map = Arc::clone(&map);
+        let tx = tx_at.clone();
+        jiffy_audit::sched::spawn_named(&h, Some(who), move || {
+            body(&map);
+            tx.send(At::Done(who)).unwrap();
+        })
+    };
+    let next = || rx_at.recv_timeout(Duration::from_secs(30)).expect("a scripted thread hung");
+
+    // The linker's put splits the base node and publishes o = [4, 10, 20,
+    // 30] in front of D. Walk it through its reclamation probes until o
+    // is on level 0: it is now at the temp node's deferral, right before
+    // it links o's tower.
+    let linker = spawn("linker", |map| {
+        map.put(4, 4);
+    });
+    loop {
+        assert_eq!(next(), At::Defer);
+        if map.debug_stats().nodes == 3 {
+            break;
+        }
+        release["linker"].send(()).unwrap();
+    }
+    defer_armed.store(false, Ordering::SeqCst);
+    // The merger's third remove merges D into o; it parks once D is
+    // terminated, at the first tower edge it would snip out of D.
+    let merger = spawn("merger", |map| {
+        for k in [40, 50, 60] {
+            assert_eq!(map.remove(&k), Some(k));
+        }
+    });
+    let fits = match next() {
+        At::Edge("merger") => {
+            release["linker"].send(()).unwrap();
+            // `link_tower(o)` checked o live and walks into the dead D.
+            match next() {
+                At::Edge("linker") => true,
+                at => {
+                    assert_eq!(at, At::Done("linker"), "o has no tower");
+                    release["merger"].send(()).unwrap();
+                    false
+                }
+            }
+        }
+        at => {
+            assert_eq!(at, At::Done("merger"), "D has no tower");
+            release["linker"].send(()).unwrap();
+            false
+        }
+    };
+    if !fits {
+        linker.join().unwrap();
+        merger.join().unwrap();
+        return false;
+    }
+    // Merge o away underneath the parked linker. The first remove helps
+    // D's merge (its revision heads o) to completion; the fourth merges
+    // o into the base node, which retires o.
+    for k in [4, 10, 20, 30, 70] {
+        assert_eq!(map.remove(&k), Some(k));
+    }
+    release["linker"].send(()).unwrap();
+    let linked = linker.join();
+    release["merger"].send(()).unwrap();
+    let merged = merger.join();
+    if let Err(panic) = linked {
+        std::panic::resume_unwind(panic);
+    }
+    merged.unwrap();
+    let mut live = Vec::new();
+    map.scan_from(&0, usize::MAX, &mut |k, v| live.push((*k, *v)));
+    assert_eq!(live, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+    true
 }
 
 /// Fixture lines, comments and blanks stripped.
