@@ -15,12 +15,52 @@
 //! * terminated nodes stay traversable (their `next` is preserved) and are
 //!   unlinked opportunistically by every traversal (`findNodeForKey ...
 //!   unlinks terminated nodes`, §3.3.2).
+//!
+//! # One walk
+//!
+//! [`walk_level`](JiffyInner::walk_level) is the only code that loads an
+//! edge (`next` on level 0, a tower slot above it) or snips one, apart
+//! from `link_tower`'s own install store and CAS. As in Fraser's and
+//! `ConcurrentSkipListMap`'s `find`, every search and every unlinker is a
+//! walk; [`tower_descend`](JiffyInner::tower_descend) runs it level by
+//! level from the base node's top down to a stop level. A [`Walk`] carries
+//! three choices:
+//!
+//! * the comparison — `strict` advances onto keys `< key`, otherwise onto
+//!   keys `<= key` (a floor search);
+//! * what to do with a terminated successor ([`Dead`]) — snip it out of
+//!   the edge and re-read, stop in front of it, or step onto it;
+//! * the stop rule ([`Stop`]) — the key bound alone, or also a target
+//!   node: stop in front of it, or snip it out and stop. The third stop
+//!   rule, a level, is `tower_descend`'s `bottom`.
+//!
+//! | caller | levels | comparison | terminated successor | stop |
+//! |---|---|---|---|---|
+//! | `find_node_for_key` | towers, then 0 | floor | snip | key |
+//! | `find_pred` | towers, then 0 | strict | snip | key; the caller checks the stop is its target |
+//! | `tower_position` | towers down to the link level | strict | snip | in front of the node being linked |
+//! | `unlink_tower`, above its level | towers down to level + 1 | strict | stop | key |
+//! | `unlink_tower`, at its level | one tower level | floor | step | snip out the node being unlinked; a lost CAS restarts from the top |
+//!
+//! Level 0 differs from the towers in one more way, which is not a
+//! choice: its successor may be a temp split node, which the walk helps
+//! away and re-reads, as it does after a snip (a temp never has a tower).
+//!
+//! The differences between these rows are kept exactly as the six
+//! hand-written walks this one replaced had them, including two that
+//! were never chosen: `unlink_tower` stands on terminated nodes at its
+//! own level but will not descend through them, and `tower_position`
+//! stops in front of its own node even when that node is terminated. F4
+//! (ROADMAP; the replay in `tests/audit_sched_replay.rs`) is a tower link
+//! that outlives its node; its fix marks a dying node's edges, and makes
+//! the rows agree on terminated nodes, here in one place. So are the
+//! `perf-counters` hops: a tower level counts every successor it loads,
+//! level 0 every node it steps onto, and only `find_node_for_key` (both)
+//! and `find_pred` (towers) report them.
 
 use std::sync::atomic::Ordering;
 
-#[cfg(debug_assertions)]
-use crossbeam_epoch::Atomic;
-use crossbeam_epoch::{Guard, Shared};
+use crossbeam_epoch::{Atomic, Guard, Shared};
 use crossbeam_utils::prefetch_read;
 use jiffy_clock::VersionClock;
 
@@ -29,6 +69,56 @@ use crate::node::{Node, NodeKey, MAX_HEIGHT};
 
 /// A `(predecessor, successor)` node pair at some index level.
 pub(crate) type NodePair<'g, K, V> = (Shared<'g, Node<K, V>>, Shared<'g, Node<K, V>>);
+
+/// What a walk does with a terminated successor.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Dead {
+    /// CAS it out of the edge and re-read the edge.
+    Snip,
+    /// Stop in front of it.
+    Stop,
+    /// Step onto it like a live node.
+    Step,
+}
+
+/// Where a walk stops, besides in front of a successor past its key.
+enum Stop<'g, K, V> {
+    /// The key bound only.
+    Key,
+    /// Also in front of this node, terminated or not.
+    Before(Shared<'g, Node<K, V>>),
+    /// Also at this node, after snipping it out of the edge — or, if
+    /// that CAS loses, in front of it.
+    Unlink(Shared<'g, Node<K, V>>),
+}
+
+/// The choices one walk makes at every level (see the module docs).
+struct Walk<'g, K, V> {
+    /// Advance onto keys `< key`, not `<= key`.
+    strict: bool,
+    dead: Dead,
+    stop: Stop<'g, K, V>,
+}
+
+/// Where a walk stands.
+struct At<'g, K, V> {
+    /// The node the walk stands on.
+    pred: Shared<'g, Node<K, V>>,
+    /// The successor it stopped in front of (null: the end of the level).
+    curr: Shared<'g, Node<K, V>>,
+    /// `perf-counters` hops so far (always 0 without the feature).
+    hops: u64,
+}
+
+/// `node`'s edge at `level`: `next` on level 0, a tower slot above it,
+/// `None` above the node's tower.
+#[inline(always)]
+fn edge<K, V>(node: &Node<K, V>, level: usize) -> Option<&Atomic<Node<K, V>>> {
+    match level {
+        0 => Some(&node.next),
+        _ => node.tower.get(level - 1),
+    }
+}
 
 impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
     /// Find the node whose key range covers `key`. The returned node is
@@ -41,142 +131,11 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         guard: &'g Guard,
     ) -> Shared<'g, Node<K, V>> {
         perf_count!(descents);
-        let pred = self.tower_descend(key, false, guard);
-        self.walk_level0(pred, key, guard)
-    }
-
-    /// Descend the index levels. With `strict`, stop at nodes whose key is
-    /// strictly below `key` (predecessor search); otherwise allow equal
-    /// keys (floor search). Unlinks index entries to terminated nodes.
-    fn tower_descend<'g>(&self, key: &K, strict: bool, guard: &'g Guard) -> Shared<'g, Node<K, V>> {
-        let mut pred_s = self.base_node(guard);
-        #[cfg(feature = "perf-counters")]
-        let mut hops = 0u64;
-        for level in (1..MAX_HEIGHT).rev() {
-            loop {
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let pred = unsafe { pred_s.deref() };
-                if level > pred.tower_height() {
-                    break; // this node does not reach the level; descend
-                }
-                let curr_s = pred.tower[level - 1].load(Ordering::Acquire, guard);
-                if curr_s.is_null() {
-                    break;
-                }
-                #[cfg(debug_assertions)]
-                assert_not_retired(pred, &pred.tower[level - 1], curr_s, guard);
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let curr = unsafe { curr_s.deref() };
-                #[cfg(feature = "perf-counters")]
-                {
-                    hops += 1;
-                }
-                // While the key comparison below is in flight, start
-                // pulling in the (separately boxed) tower array we will
-                // read next if we advance — `curr.tower[level - 1]` on
-                // the next iteration, `curr.tower[level - 2]` after a
-                // descend. One hop of pointer-chase latency hidden per
-                // advance (the "Foresight" overlap).
-                if let Some(slot) = curr.tower.get(level.saturating_sub(2)) {
-                    prefetch_read(slot as *const _);
-                }
-                if curr.is_terminated() {
-                    // Unlink the index entry and re-read.
-                    let succ = if level <= curr.tower_height() {
-                        curr.tower[level - 1].load(Ordering::Acquire, guard)
-                    } else {
-                        Shared::null()
-                    };
-                    #[cfg(feature = "audit-sched")]
-                    jiffy_audit::sched::probe("list::unlink-edge");
-                    let _ = pred.tower[level - 1].compare_exchange(
-                        curr_s,
-                        succ,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    );
-                    continue;
-                }
-                let advance = match (&curr.key, strict) {
-                    (NodeKey::NegInf, _) => true,
-                    (NodeKey::Key(k), false) => k <= key,
-                    (NodeKey::Key(k), true) => k < key,
-                };
-                if advance {
-                    pred_s = curr_s;
-                } else {
-                    break;
-                }
-            }
-        }
-        #[cfg(feature = "perf-counters")]
-        crate::counters::bump(|c| c.nodes_visited += hops);
-        pred_s
-    }
-
-    /// Level-0 walk from `start` to the floor node for `key`, helping temp
-    /// split nodes and unlinking terminated nodes on the way.
-    fn walk_level0<'g>(
-        &self,
-        start: Shared<'g, Node<K, V>>,
-        key: &K,
-        guard: &'g Guard,
-    ) -> Shared<'g, Node<K, V>> {
-        let mut node_s = start;
-        #[cfg(feature = "perf-counters")]
-        let mut hops = 0u64;
-        loop {
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { node_s.deref() };
-            let next_s = node.next.load(Ordering::Acquire, guard);
-            if next_s.is_null() {
-                break;
-            }
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let next = unsafe { next_s.deref() };
-            // `next`'s cache line was the miss we just paid. Before the
-            // branchy checks and the key comparison on it, start pulling
-            // in the two lines the walk touches right after: `next`'s own
-            // successor (the following hop) and `next`'s head revision
-            // (what the caller reads once the walk stops here). Both
-            // pointers live in the line we already hold, so the loads
-            // are free and the misses overlap the comparison.
-            prefetch_read(next.next.load(Ordering::Relaxed, guard).as_raw());
-            prefetch_read(next.head.load(Ordering::Relaxed, guard).as_raw());
-            if next.is_temp_split() {
-                self.help_temp_split_node(node_s, next_s, guard);
-                continue; // re-read node.next
-            }
-            if next.is_terminated() {
-                // Unlink (never from a temp: we never stand on temps).
-                let succ = next.next.load(Ordering::Acquire, guard);
-                let _ = node.next.compare_exchange(
-                    next_s,
-                    succ,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    guard,
-                );
-                continue;
-            }
-            if next.key.le(key) {
-                #[cfg(feature = "perf-counters")]
-                {
-                    hops += 1;
-                }
-                node_s = next_s;
-            } else {
-                break;
-            }
-        }
-        #[cfg(feature = "perf-counters")]
-        crate::counters::bump(|c| c.nodes_visited += hops);
-        node_s
+        let floor = Walk { strict: false, dead: Dead::Snip, stop: Stop::Key };
+        let mut at = self.tower_descend(key, 1, &floor, guard);
+        self.walk_level(&mut at, 0, key, &floor, guard);
+        perf_count!(nodes_visited, at.hops);
+        at.pred
     }
 
     /// Find the live level-0 predecessor of `target` (`pred.next ==
@@ -192,44 +151,13 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let target = unsafe { target_s.deref() };
         let tkey = target.key.as_key().expect("the base node has no predecessor and never merges");
-        let mut node_s = self.tower_descend(tkey, true, guard);
-        loop {
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let node = unsafe { node_s.deref() };
-            let next_s = node.next.load(Ordering::Acquire, guard);
-            if next_s.is_null() {
-                return None;
-            }
-            // SAFETY: non-null and reached under the enclosing pin guard;
-            // EBR defers reclamation of epoch-reachable nodes until unpin.
-            let next = unsafe { next_s.deref() };
-            if next.is_temp_split() {
-                self.help_temp_split_node(node_s, next_s, guard);
-                continue;
-            }
-            if next.is_terminated() {
-                let succ = next.next.load(Ordering::Acquire, guard);
-                let _ = node.next.compare_exchange(
-                    next_s,
-                    succ,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    guard,
-                );
-                continue;
-            }
-            if next_s == target_s {
-                return Some(node_s);
-            }
-            match &next.key {
-                NodeKey::NegInf => unreachable!("base node cannot be a successor"),
-                NodeKey::Key(k) if k < tkey => node_s = next_s,
-                // A live node at/past the target's key that is not the
-                // target: the target has been unlinked.
-                _ => return None,
-            }
-        }
+        let strict = Walk { strict: true, dead: Dead::Snip, stop: Stop::Key };
+        let mut at = self.tower_descend(tkey, 1, &strict, guard);
+        perf_count!(nodes_visited, at.hops);
+        // The first live node at or past the target's key is the target
+        // itself, unless the target has been unlinked.
+        self.walk_level(&mut at, 0, tkey, &strict, guard);
+        (at.curr == target_s).then_some(at.pred)
     }
 
     /// Link a freshly published node into the index levels (tower heights
@@ -282,67 +210,9 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         node_s: Shared<'g, Node<K, V>>,
         guard: &'g Guard,
     ) -> NodePair<'g, K, V> {
-        let mut pred_s = self.base_node(guard);
-        let mut lvl = MAX_HEIGHT;
-        while lvl >= level {
-            loop {
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let pred = unsafe { pred_s.deref() };
-                if lvl > pred.tower_height() {
-                    break;
-                }
-                let curr_s = pred.tower[lvl - 1].load(Ordering::Acquire, guard);
-                if curr_s.is_null() {
-                    break;
-                }
-                #[cfg(debug_assertions)]
-                assert_not_retired(pred, &pred.tower[lvl - 1], curr_s, guard);
-                if curr_s == node_s {
-                    // Already linked here (an older attempt of ours):
-                    // treat the node's own successor as the bound.
-                    break;
-                }
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let curr = unsafe { curr_s.deref() };
-                if curr.is_terminated() {
-                    let succ = if lvl <= curr.tower_height() {
-                        curr.tower[lvl - 1].load(Ordering::Acquire, guard)
-                    } else {
-                        Shared::null()
-                    };
-                    #[cfg(feature = "audit-sched")]
-                    jiffy_audit::sched::probe("list::unlink-edge");
-                    let _ = pred.tower[lvl - 1].compare_exchange(
-                        curr_s,
-                        succ,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    );
-                    continue;
-                }
-                let advance = match &curr.key {
-                    NodeKey::NegInf => true,
-                    NodeKey::Key(k) => k < key,
-                };
-                if advance {
-                    pred_s = curr_s;
-                } else {
-                    break;
-                }
-            }
-            if lvl == level {
-                break;
-            }
-            lvl -= 1;
-        }
-        // SAFETY: non-null and reached under the enclosing pin guard;
-        // EBR defers reclamation of epoch-reachable nodes until unpin.
-        let pred = unsafe { pred_s.deref() };
-        let succ_s = pred.tower[level - 1].load(Ordering::Acquire, guard);
-        (pred_s, succ_s)
+        let walk = Walk { strict: true, dead: Dead::Snip, stop: Stop::Before(node_s) };
+        let at = self.tower_descend(key, level, &walk, guard);
+        (at.pred, at.curr)
     }
 
     /// Remove `node` from every index level it might be linked at. Called
@@ -352,104 +222,134 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
         // SAFETY: non-null and reached under the enclosing pin guard;
         // EBR defers reclamation of epoch-reachable nodes until unpin.
         let node = unsafe { node_s.deref() };
-        let h = node.tower_height();
-        if h == 0 {
-            return;
-        }
-        let key = match node.key.as_key() {
-            Some(k) => k,
-            None => return,
-        };
-        for level in (1..=h).rev() {
-            'retry: loop {
-                // Walk the level looking for an edge into `node`.
-                let mut pred_s = self.tower_descend_to_level(key, level, guard);
-                loop {
-                    // SAFETY: non-null and reached under the enclosing pin guard;
-                    // EBR defers reclamation of epoch-reachable nodes until unpin.
-                    let pred = unsafe { pred_s.deref() };
-                    if level > pred.tower_height() {
-                        break 'retry;
-                    }
-                    let curr_s = pred.tower[level - 1].load(Ordering::Acquire, guard);
-                    if curr_s.is_null() {
-                        break 'retry; // not linked at this level
-                    }
-                    #[cfg(debug_assertions)]
-                    assert_not_retired(pred, &pred.tower[level - 1], curr_s, guard);
-                    if curr_s == node_s {
-                        let succ = node.tower[level - 1].load(Ordering::Acquire, guard);
-                        #[cfg(feature = "audit-sched")]
-                        jiffy_audit::sched::probe("list::unlink-edge");
-                        if pred.tower[level - 1]
-                            .compare_exchange(
-                                curr_s,
-                                succ,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                                guard,
-                            )
-                            .is_ok()
-                        {
-                            break 'retry;
-                        }
-                        continue 'retry;
-                    }
-                    // SAFETY: non-null and reached under the enclosing pin guard;
-                    // EBR defers reclamation of epoch-reachable nodes until unpin.
-                    let curr = unsafe { curr_s.deref() };
-                    let advance = match &curr.key {
-                        NodeKey::NegInf => true,
-                        NodeKey::Key(k) => k <= key,
-                    };
-                    if advance {
-                        pred_s = curr_s;
-                    } else {
-                        break 'retry; // passed the key: not linked here
-                    }
+        let Some(key) = node.key.as_key() else { return };
+        let descend = Walk { strict: true, dead: Dead::Stop, stop: Stop::Key };
+        let unlink = Walk { strict: false, dead: Dead::Step, stop: Stop::Unlink(node_s) };
+        for level in (1..=node.tower_height()).rev() {
+            // Still in front of `node` means the snip lost a race: start over.
+            loop {
+                let mut at = self.tower_descend(key, level + 1, &descend, guard);
+                self.walk_level(&mut at, level, key, &unlink, guard);
+                if at.curr != node_s {
+                    break;
                 }
             }
         }
     }
 
-    /// Descend to `level` taking strictly-smaller keys (helper for
-    /// `unlink_tower`; does not unlink on the way to keep it cheap).
-    fn tower_descend_to_level<'g>(
+    /// Run `walk` on every level from the base node's top down to
+    /// `bottom`, each level starting where the one above stopped.
+    #[inline(always)]
+    fn tower_descend<'g>(
         &self,
         key: &K,
-        level: usize,
+        bottom: usize,
+        walk: &Walk<'g, K, V>,
         guard: &'g Guard,
-    ) -> Shared<'g, Node<K, V>> {
-        let mut pred_s = self.base_node(guard);
-        for lvl in ((level + 1)..MAX_HEIGHT).rev() {
-            loop {
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let pred = unsafe { pred_s.deref() };
-                if lvl > pred.tower_height() {
-                    break;
+    ) -> At<'g, K, V> {
+        let mut at = At { pred: self.base_node(guard), curr: Shared::null(), hops: 0 };
+        for level in (bottom..MAX_HEIGHT).rev() {
+            self.walk_level(&mut at, level, key, walk, guard);
+        }
+        at
+    }
+
+    /// The walk: advance `at` along `level` until `walk` stops it (see the
+    /// module docs). Unlinks what `walk` says to and helps temp split
+    /// nodes on level 0.
+    #[inline(always)]
+    fn walk_level<'g>(
+        &self,
+        at: &mut At<'g, K, V>,
+        level: usize,
+        key: &K,
+        walk: &Walk<'g, K, V>,
+        guard: &'g Guard,
+    ) {
+        at.curr = loop {
+            // SAFETY: non-null and reached under the enclosing pin guard;
+            // EBR defers reclamation of epoch-reachable nodes until unpin.
+            let pred = unsafe { at.pred.deref() };
+            let Some(pred_edge) = edge(pred, level) else {
+                break Shared::null(); // this node does not reach the level
+            };
+            let curr_s = pred_edge.load(Ordering::Acquire, guard);
+            if curr_s.is_null() {
+                break curr_s;
+            }
+            #[cfg(debug_assertions)]
+            if level > 0 {
+                assert_not_retired(pred, pred_edge, curr_s, guard);
+            }
+            if matches!(walk.stop, Stop::Before(t) if t == curr_s) {
+                break curr_s;
+            }
+            // SAFETY: non-null and reached under the enclosing pin guard;
+            // EBR defers reclamation of epoch-reachable nodes until unpin.
+            let curr = unsafe { curr_s.deref() };
+            if level == 0 {
+                // `curr`'s cache line was the miss we just paid. Before the
+                // branchy checks and the key comparison on it, start
+                // pulling in the two lines the walk touches right after:
+                // `curr`'s own successor (the following hop) and `curr`'s
+                // head revision (what the caller reads once the walk stops
+                // here). Both pointers live in the line we already hold, so
+                // the loads are free and the misses overlap the comparison.
+                prefetch_read(curr.next.load(Ordering::Relaxed, guard).as_raw());
+                prefetch_read(curr.head.load(Ordering::Relaxed, guard).as_raw());
+                if curr.is_temp_split() {
+                    self.help_temp_split_node(at.pred, curr_s, guard);
+                    continue; // re-read the edge
                 }
-                let curr_s = pred.tower[lvl - 1].load(Ordering::Acquire, guard);
-                if curr_s.is_null() {
-                    break;
+            } else {
+                #[cfg(feature = "perf-counters")]
+                {
+                    at.hops += 1;
                 }
-                #[cfg(debug_assertions)]
-                assert_not_retired(pred, &pred.tower[lvl - 1], curr_s, guard);
-                // SAFETY: non-null and reached under the enclosing pin guard;
-                // EBR defers reclamation of epoch-reachable nodes until unpin.
-                let curr = unsafe { curr_s.deref() };
-                let advance = match &curr.key {
-                    NodeKey::NegInf => true,
-                    NodeKey::Key(k) => k < key,
-                };
-                if advance && !curr.is_terminated() {
-                    pred_s = curr_s;
-                } else {
-                    break;
+                // While the key comparison below is in flight, start
+                // pulling in the (separately boxed) tower array we will
+                // read next if we advance — `curr.tower[level - 1]` on
+                // the next iteration, `curr.tower[level - 2]` after a
+                // descend. One hop of pointer-chase latency hidden per
+                // advance (the "Foresight" overlap).
+                if let Some(slot) = curr.tower.get(level.saturating_sub(2)) {
+                    prefetch_read(slot as *const _);
                 }
             }
-        }
-        pred_s
+            let unlink = matches!(walk.stop, Stop::Unlink(t) if t == curr_s);
+            if unlink || (walk.dead == Dead::Snip && curr.is_terminated()) {
+                // Never from a temp: the walk never stands on one.
+                let succ =
+                    edge(curr, level).map_or(Shared::null(), |e| e.load(Ordering::Acquire, guard));
+                #[cfg(feature = "audit-sched")]
+                if level > 0 {
+                    jiffy_audit::sched::probe("list::unlink-edge");
+                }
+                let snipped = pred_edge
+                    .compare_exchange(curr_s, succ, Ordering::AcqRel, Ordering::Acquire, guard)
+                    .is_ok();
+                if !unlink {
+                    continue; // re-read the edge
+                }
+                break if snipped { succ } else { curr_s };
+            }
+            if walk.dead == Dead::Stop && curr.is_terminated() {
+                break curr_s;
+            }
+            let advance = match &curr.key {
+                NodeKey::NegInf => true,
+                NodeKey::Key(k) if walk.strict => k < key,
+                NodeKey::Key(k) => k <= key,
+            };
+            if !advance {
+                break curr_s;
+            }
+            #[cfg(feature = "perf-counters")]
+            if level == 0 {
+                at.hops += 1;
+            }
+            at.pred = curr_s;
+        };
     }
 }
 
@@ -497,9 +397,14 @@ mod tests {
     /// A node with key `key` and `height - 1` tower slots, not yet linked
     /// anywhere. The map's teardown frees it once it is on level 0.
     fn node<'g>(key: u64, height: usize, guard: &'g Guard) -> Shared<'g, Node<u64, u64>> {
-        let n = Node::new_normal(NodeKey::Key(key), height);
-        n.head.store(Owned::new(Revision::initial()), Ordering::Relaxed);
+        let mut n = Node::new_normal(NodeKey::Key(key), height);
+        n.head = Atomic::new(Revision::initial());
         Owned::new(n).into_shared(guard)
+    }
+
+    fn terminate(n: Shared<'_, Node<u64, u64>>) {
+        // SAFETY: test-built nodes, alive until the map drops.
+        unsafe { n.deref() }.terminated.store(true, Ordering::SeqCst);
     }
 
     /// Chain `nodes` after the base node on level 0, in order.
@@ -523,10 +428,7 @@ mod tests {
         loop {
             // SAFETY: test-built nodes, alive until the map drops.
             let n = unsafe { n_s.deref() };
-            n_s = match level {
-                0 => n.next.load(Ordering::Acquire, guard),
-                l => n.tower[l - 1].load(Ordering::Acquire, guard),
-            };
+            n_s = edge(n, level).map_or(Shared::null(), |e| e.load(Ordering::Acquire, guard));
             if n_s.is_null() {
                 return out;
             }
@@ -551,13 +453,11 @@ mod tests {
         assert_eq!(m.find_pred(n30, guard), Some(n20));
         assert_eq!(m.find_pred(n10, guard), Some(m.base_node(guard)));
         // A terminated target is snipped off level 0, not returned.
-        // SAFETY: test-built nodes, alive until the map drops.
-        unsafe { n20.deref() }.terminated.store(true, Ordering::SeqCst);
+        terminate(n20);
         assert_eq!(m.find_pred(n20, guard), None);
         assert_eq!(level_list(&m, 0, guard), vec![n10, n30]);
         // Put it back so the map's teardown frees it.
-        // SAFETY: test-built nodes, alive until the map drops.
-        unsafe { n10.deref() }.next.store(n20, Ordering::Release);
+        chain(&m, &nodes, guard);
     }
 
     #[test]
@@ -576,8 +476,9 @@ mod tests {
         // front of the node rather than standing on it — also once the
         // node is terminated, which the walk would otherwise snip.
         for terminated in [false, true] {
-            // SAFETY: test-built nodes, alive until the map drops.
-            unsafe { n20.deref() }.terminated.store(terminated, Ordering::SeqCst);
+            if terminated {
+                terminate(n20);
+            }
             assert_eq!(m.tower_position(&20, 1, n20, guard), (n10, n20));
             assert_eq!(m.tower_position(&20, 3, n20, guard), (m.base_node(guard), n20));
             assert_eq!(level_list(&m, 1, guard), vec![n10, n20, n30]);
@@ -601,10 +502,8 @@ mod tests {
         assert_eq!(level_list(&m, 2, guard), vec![old, new, n30]);
         // Both terminated: the unlinker stands on `old` (it does not snip
         // other dead nodes) and still finds `new` behind it.
-        for n in [old, new] {
-            // SAFETY: test-built nodes, alive until the map drops.
-            unsafe { n.deref() }.terminated.store(true, Ordering::SeqCst);
-        }
+        terminate(old);
+        terminate(new);
         m.unlink_tower(new, guard);
         assert_eq!(level_list(&m, 1, guard), vec![n10, old, n30]);
         assert_eq!(level_list(&m, 2, guard), vec![old, n30]);

@@ -26,21 +26,36 @@
 //! ```
 //!
 //! **Failure signatures** (any of):
-//! - `list.rs`, `tower_position`: "index out of bounds: the len is 0 but
-//!   the index is 0" — a `pred` reached through a tower edge has no
-//!   tower, i.e. its memory was reused;
-//! - `list.rs`, `tower_descend`: "misaligned pointer dereference";
+//! - debug builds: "F4: a tower walk reached a retired node through a
+//!   live edge", the tripwire in `list.rs`'s walk;
+//! - `list.rs`, the walk (`walk_level`, under `tower_position`): "index
+//!   out of bounds: the len is 0 but the index is 0" — a `pred` reached
+//!   through a tower edge has no tower, i.e. its memory was reused;
+//! - `list.rs`, the walk (under `tower_descend`): "misaligned pointer
+//!   dereference";
 //! - SIGSEGV, or `double free or corruption` from the allocator;
 //! - a hang (the deadline below names it): both threads still
 //!   completing merges.
 //!
-//! **Hypothesis (unverified).** Unlinking a terminated node by
-//! `pred.tower[l].CAS(curr, curr.tower[l])` — and the same shape on
-//! level 0 in `walk_level0` / `find_pred` / `help_split` — can re-link a
-//! successor that `unlink_tower` has already removed from `curr`; the
-//! successor is then reclaimed while still reachable. This is the race
-//! Harris-style marking of the outgoing edge exists to close. Nothing
-//! in tier-1 churns the structure like this.
+//! **Hypothesis.** `list.rs` has one snip site, in `walk_level`: the
+//! `list::unlink-edge` probe sits between its read of `succ` and its
+//! `pred.edge.CAS(curr, succ)`. The replay
+//! `unlink_edge_probe_replays_a_tower_link_to_a_retired_node`
+//! (`crates/jiffy/tests/audit_sched_replay.rs`, ignored while red) shows
+//! one way a tower edge outlives its node, step by step: `link_tower`
+//! sees its node live, then loses the CPU inside `tower_position` — parked
+//! at that probe — while the node's merge completes, finds no tower edge
+//! to unlink and retires it; the linker then links the retired node. Any
+//! thread that pins before the linker unlinks it again can follow the
+//! edge after the node is freed. The earlier guess, a stale snip at that
+//! site re-linking a successor that `unlink_tower` already removed, looks
+//! excluded: the successor's merge runs `find_pred`, whose strict descent
+//! snips the dead `curr` out of a live `pred` before the successor is
+//! retired, so the stale CAS fails. Whether the link race is the only
+//! way this test dies is not shown. Marking a dying node's outgoing edges
+//! before it is unlinked (Harris, Fraser) closes it: the linker's install
+//! then meets a marked slot. Nothing in tier-1 churns the structure like
+//! this.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
