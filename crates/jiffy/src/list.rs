@@ -46,17 +46,16 @@
 //! choice: its successor may be a temp split node, which the walk helps
 //! away and re-reads, as it does after a snip (a temp never has a tower).
 //!
-//! The differences between these rows are kept exactly as the six
-//! hand-written walks this one replaced had them, including two that
-//! were never chosen: `unlink_tower` stands on terminated nodes at its
+//! Two differences between the rows were never chosen, and stay until
+//! F4 (b) settles them: `unlink_tower` stands on terminated nodes at its
 //! own level but will not descend through them, and `tower_position`
 //! stops in front of its own node even when that node is terminated. F4
 //! (ROADMAP; the replay in `tests/audit_sched_replay.rs`) is a tower link
-//! that outlives its node; its fix marks a dying node's edges, and makes
-//! the rows agree on terminated nodes, here in one place. So are the
-//! `perf-counters` hops: a tower level counts every successor it loads,
-//! level 0 every node it steps onto, and only `find_node_for_key` (both)
-//! and `find_pred` (towers) report them.
+//! that outlives its node; its fix marks a dying node's edges and makes
+//! the rows agree on terminated nodes, here in one place. The
+//! `perf-counters` hops differ by level too: a tower level counts every
+//! successor it loads, level 0 every node it steps onto, and only
+//! `find_node_for_key` (both) and `find_pred` (towers) report them.
 
 use std::sync::atomic::Ordering;
 
@@ -458,6 +457,33 @@ mod tests {
         assert_eq!(level_list(&m, 0, guard), vec![n10, n30]);
         // Put it back so the map's teardown frees it.
         chain(&m, &nodes, guard);
+    }
+
+    /// Hops: a tower level counts every successor it loads, level 0 every
+    /// node it steps onto; `find_pred` reports only its tower hops.
+    #[cfg(feature = "perf-counters")]
+    #[test]
+    fn descents_count_hops_where_they_always_did() {
+        let m = inner();
+        let guard = &crossbeam_epoch::pin();
+        let nodes = [node(10, 3, guard), node(20, 2, guard), node(30, 1, guard)];
+        chain(&m, &nodes, guard);
+        for &n in &nodes {
+            m.link_tower(n, guard);
+        }
+        fn hops<T>(f: impl FnOnce() -> T) -> (u64, u64) {
+            crate::counters::take();
+            let _ = f();
+            let c = crate::counters::take();
+            (c.descents, c.nodes_visited)
+        }
+        // Level 2 loads 10, level 1 loads 20, level 0 steps onto 30.
+        assert_eq!(hops(|| m.find_node_for_key(&35, guard)), (1, 3));
+        // As above, but level 0 stops in front of 30.
+        assert_eq!(hops(|| m.find_node_for_key(&25, guard)), (1, 2));
+        // Levels 2 and 1 each load 10 and stop in front of it.
+        assert_eq!(hops(|| m.find_node_for_key(&5, guard)), (1, 2));
+        assert_eq!(hops(|| m.find_pred(nodes[2], guard)), (0, 2));
     }
 
     #[test]
