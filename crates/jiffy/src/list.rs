@@ -276,6 +276,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
             if curr_s.is_null() {
                 break curr_s;
             }
+            // Towers only: whether level 0 needs the same guard is F4 (b)'s
+            // open question.
             #[cfg(debug_assertions)]
             if level > 0 {
                 assert_not_retired(pred, pred_edge, curr_s, guard);
@@ -320,6 +322,8 @@ impl<K: MapKey, V: MapValue, C: VersionClock> JiffyInner<K, V, C> {
                 // Never from a temp: the walk never stands on one.
                 let succ =
                     edge(curr, level).map_or(Shared::null(), |e| e.load(Ordering::Acquire, guard));
+                // A tower snip only: the F4 replay counts on which snips
+                // reach the probe.
                 #[cfg(feature = "audit-sched")]
                 if level > 0 {
                     jiffy_audit::sched::probe("list::unlink-edge");
